@@ -138,20 +138,6 @@ let with_trace trace f =
             (Anyseq.Trace.dropped ()))
         f
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Streaming load via Fasta.fold: stop at the first record instead of
    materializing the file. *)
 exception First_record of Anyseq.Fasta.record
@@ -204,21 +190,23 @@ let align_cmd =
     in
     (match result with
     | Error e ->
-        if json then Printf.printf "{\"error\":\"%s\"}\n" (json_escape (Anyseq.Error.to_string e))
+        if json then
+          Printf.printf "{\"error\":\"%s\"}\n"
+            (Anyseq.Jsonv.escape_string (Anyseq.Error.to_string e))
         else Printf.eprintf "error: %s\n" (Anyseq.Error.to_string e);
         exit (exit_code_of_error e)
     | Ok r when json ->
         let b = Buffer.create 256 in
         Printf.bprintf b "{\"score\":%d,\"mode\":\"%s\",\"scheme\":\"%s\"" r.Anyseq.score
           (Anyseq.Alignment.mode_to_string mode)
-          (json_escape (Anyseq.Scheme.to_string scheme));
+          (Anyseq.Jsonv.escape_string (Anyseq.Scheme.to_string scheme));
         (match r.Anyseq.alignment with
         | Some a ->
             Printf.bprintf b
               ",\"query\":{\"id\":\"%s\",\"start\":%d,\"end\":%d},\"subject\":{\"id\":\"%s\",\"start\":%d,\"end\":%d},\"cigar\":\"%s\""
-              (json_escape q.Anyseq.Fasta.id)
+              (Anyseq.Jsonv.escape_string q.Anyseq.Fasta.id)
               a.Anyseq.Alignment.query_start a.Anyseq.Alignment.query_end
-              (json_escape s.Anyseq.Fasta.id)
+              (Anyseq.Jsonv.escape_string s.Anyseq.Fasta.id)
               a.Anyseq.Alignment.subject_start a.Anyseq.Alignment.subject_end
               (Anyseq.Cigar.to_string a.Anyseq.Alignment.cigar)
         | None -> ());
@@ -425,12 +413,14 @@ let batch_cmd =
         (Array.length pairs) ok dt
         (Anyseq_util.Timer.gcups ~cells ~seconds:dt)
         hit_rate
-        (json_escape (Anyseq.Config.to_string config));
+        (Anyseq.Jsonv.escape_string (Anyseq.Config.to_string config));
       if errors <> [] then begin
         print_string ",\"errors\":{";
         List.iteri
           (fun i (k, v) ->
-            Printf.printf "%s\"%s\":%d" (if i > 0 then "," else "") (json_escape k) v)
+            Printf.printf "%s\"%s\":%d"
+              (if i > 0 then "," else "")
+              (Anyseq.Jsonv.escape_string k) v)
           errors;
         print_string "}"
       end;
@@ -740,7 +730,8 @@ let client_cmd =
               Printf.bprintf b "{\"score\":%d,\"query_end\":%d,\"subject_end\":%d"
                 r.Anyseq.Client.score r.Anyseq.Client.query_end r.Anyseq.Client.subject_end;
               (match r.Anyseq.Client.cigar with
-              | Some c -> Printf.bprintf b ",\"cigar\":\"%s\"" (json_escape c)
+              | Some c ->
+                  Printf.bprintf b ",\"cigar\":\"%s\"" (Anyseq.Jsonv.escape_string c)
               | None -> ());
               Printf.bprintf b ",\"batch_jobs\":%d,\"queue_us\":%.1f,\"service_us\":%.1f}"
                 r.Anyseq.Client.batch_jobs
@@ -1179,7 +1170,8 @@ let network_cmd =
             r.Anyseq.Pipeline.edge_duplicates r.Anyseq.Pipeline.spilled_runs
             cs.Anyseq.Components.components cs.Anyseq.Components.clusters
             cs.Anyseq.Components.singletons cs.Anyseq.Components.largest
-            r.Anyseq.Pipeline.elapsed_s r.Anyseq.Pipeline.pairs_per_s (json_escape out);
+            r.Anyseq.Pipeline.elapsed_s r.Anyseq.Pipeline.pairs_per_s
+            (Anyseq.Jsonv.escape_string out);
           print_endline (Buffer.contents b)
         end
         else begin

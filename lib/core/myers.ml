@@ -34,10 +34,13 @@ let fill_peq peq q ~n ~nblocks =
   for k = 0 to (asize * nblocks) - 1 do
     Array.unsafe_set peq k 0
   done;
-  for i = 0 to n - 1 do
-    let c = Sequence.unsafe_get q i in
-    let k = (c * nblocks) + (i / word_bits) in
-    Array.unsafe_set peq k (Array.unsafe_get peq k lor (1 lsl (i mod word_bits)))
+  let codes = Sequence.unsafe_codes q in
+  for b = 0 to nblocks - 1 do
+    let row0 = b * word_bits in
+    for i = row0 to min n (row0 + word_bits) - 1 do
+      let k = (Char.code (Bytes.unsafe_get codes i) * nblocks) + b in
+      Array.unsafe_set peq k (Array.unsafe_get peq k lor (1 lsl (i - row0)))
+    done
   done;
   let pad_lo = n mod word_bits in
   if pad_lo <> 0 then begin
@@ -290,10 +293,105 @@ let with_band_state ?ws q f =
           Scratch.release ws peq)
         (fun () -> init peq pv mv bscore)
 
-(* Iterative deepening over the banded core (edlib's outer loop): try a
-   one-word band first, double until the band survives or the cap is
-   reached. Each failed attempt costs O(m·k/62) block steps, so the
-   total is within 2× of the last attempt — O(m·d/62) instead of the
+(* ------------------------------------------------------------------ *)
+(* One-word diagonal band (Hyyrö 2003's banded bit-vector form).      *)
+(*                                                                    *)
+(* With δ = n - m, a path of cost ≤ k through cell (i, j) on diagonal *)
+(* t = i - j pays at least |t| to reach it and |δ - t| to leave it,   *)
+(* so every optimal path of a pair with d ≤ k stays on the diagonals  *)
+(* lo..hi = ⌈(δ-k)/2⌉..⌊(δ+k)/2⌋ — at most k+1 of them, so for k ≤ 61 *)
+(* one word holds them all. Column j keeps the vertical deltas of     *)
+(* rows top..top+61, top = max(1, j + lo). For the first 1 - lo       *)
+(* columns the band is pinned at row 1 (plain Myers on one word);     *)
+(* after that it slides down one row per column: Pv/Mv shift right,   *)
+(* the row entering at the bottom is seeded Pv = 1 (an upper bound,   *)
+(* as in the block band), and the Eq word is the 62 peq bits from     *)
+(* pattern row top on, spliced from two adjacent peq words. The row   *)
+(* above the band enters with h-in = +1, also an upper bound. Every   *)
+(* value the band computes is the cost of a real path, and a cell     *)
+(* whose optimal path stays inside the band is exact.                 *)
+(*                                                                    *)
+(* The score tracked is the corner-diagonal cell (j + δ, j). An       *)
+(* optimal path into it of cost ≤ k stays on diagonals with |t| +     *)
+(* |δ-t| ≤ k, i.e. inside the band, so its band value is exact        *)
+(* whenever the true value is ≤ k; and values never fall along a      *)
+(* diagonal, so d is at least the true value. Once the band value     *)
+(* exceeds k, d > k and the scan stops; at j = m the cell is (n, m)   *)
+(* itself.                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Value of row [r] (1 ≤ r ≤ 62) of a pinned column whose row 0 holds
+   [v]: add the vertical deltas of bits 0..r-1. *)
+let rec pinned_value pv mv ~r ~v =
+  if r = 0 then v
+  else
+    let b = 1 lsl (r - 1) in
+    let v = if pv land b <> 0 then v + 1 else if mv land b <> 0 then v - 1 else v in
+    pinned_value pv mv ~r:(r - 1) ~v
+
+(* [Some d] iff d ≤ k, for k < 62 and |n - m| ≤ k. The Eq splice reads
+   the top row's peq word and the next one; in the last block there is
+   no next word and it reads the same word twice, which only fills rows
+   past the pattern's end — rows > n never feed back into rows ≤ n. *)
+let diagonal_band peq pv mv scodes ~nblocks ~n ~m ~k =
+  let delta = n - m in
+  let lo = -((k - delta) / 2) in
+  (* columns 1..jend: pinned at row 1, Eq straight from block 0 *)
+  let jend = min m (1 - lo) in
+  Array.unsafe_set pv 0 all_ones;
+  Array.unsafe_set mv 0 0;
+  for j = 0 to jend - 1 do
+    let eq = Array.unsafe_get peq (Char.code (Bytes.unsafe_get scodes j) * nblocks) in
+    ignore (advance pv mv ~b:0 ~eq ~hin:1 ~sample:high_bit)
+  done;
+  let pv = ref (Array.unsafe_get pv 0) and mv = ref (Array.unsafe_get mv 0) in
+  (* columns jend+1..m: sliding; the top row is pattern index
+     w·62 + s, starting at 1, and the corner cell sits at bit [cb] *)
+  let cb = delta - lo in
+  let corner = ref (pinned_value !pv !mv ~r:(jend + delta) ~v:jend) in
+  let j = ref jend and w = ref 0 and s = ref 1 in
+  let next = ref (if nblocks > 1 then 1 else 0) in
+  while !j < m && !corner <= k do
+    let base = (Char.code (Bytes.unsafe_get scodes !j) * nblocks) + !w and sh = !s in
+    let eq =
+      ((Array.unsafe_get peq base lsr sh)
+      lor (Array.unsafe_get peq (base + !next) lsl (word_bits - sh)))
+      land all_ones
+    in
+    (* Myers' step inlined rather than [advance]: Pv/Mv stay in
+       registers, and this loop is the whole cost of a short pair *)
+    let pvj = (!pv lsr 1) lor high_bit and mvj = !mv lsr 1 in
+    let xv = eq lor mvj in
+    let xh = (((eq land pvj) + pvj) land all_ones) lxor pvj lor eq in
+    let ph = mvj lor (all_ones land lnot (xh lor pvj)) in
+    let mh = pvj land xh in
+    (* corner(j) = corner(j-1) + Δv(row, j-1) + Δh(row, j) *)
+    corner :=
+      !corner
+      + ((pvj lsr cb) land 1) - ((mvj lsr cb) land 1)
+      + ((ph lsr cb) land 1) - ((mh lsr cb) land 1);
+    let ph = ((ph lsl 1) lor 1) land all_ones in
+    let mh = (mh lsl 1) land all_ones in
+    pv := mh lor (all_ones land lnot (xv lor ph));
+    mv := ph land xv;
+    incr j;
+    if sh = word_bits - 1 then begin
+      incr w;
+      s := 0;
+      if !w = nblocks - 1 then next := 0
+    end
+    else s := sh + 1
+  done;
+  if !corner <= k then Some !corner else None
+
+(* Iterative deepening (edlib's outer loop), first attempt in the
+   one-word diagonal band: at k1 = min(cap, 61) it resolves every pair
+   with d ≤ 61 in one word per column, and a failed attempt stops as
+   soon as the corner diagonal passes k1. After that the block band
+   takes over at 2·k1 (at the length gap when the gap alone rules the
+   one-word band out) and doubles until the band survives or the cap is
+   reached. Each failed block attempt costs O(m·k/62) block steps, so
+   the total is within 2× of the last attempt — O(m·d/62) instead of the
    full sweep's O(m·n/62) whenever d << n, and crucially {e independent
    of how loose the cap is}: a caller cap of n/2 on a near-identical
    pair still resolves in the one-word band. peq is filled once; each
@@ -304,7 +402,13 @@ let deepen peq pv mv bscore scodes ~nblocks ~n ~m ~cap =
     | Some _ as r -> r
     | None -> if k >= cap then None else go (min cap (2 * k))
   in
-  go (min cap (max word_bits (if n > m then n - m else m - n)))
+  let gap = if n > m then n - m else m - n in
+  let k1 = min cap (word_bits - 1) in
+  if gap > k1 then go (min cap (max word_bits gap))
+  else
+    match diagonal_band peq pv mv scodes ~nblocks ~n ~m ~k:k1 with
+    | Some _ as r -> r
+    | None -> if k1 >= cap then None else go (min cap (2 * k1))
 
 let distance_upto ?ws ~k q s =
   if k < 0 then None

@@ -27,14 +27,23 @@ val word_bits : int
 (** Cells advanced per word operation (62: native-int limbs). *)
 
 val distance : ?ws:Scratch.t -> Anyseq_bio.Sequence.t -> Anyseq_bio.Sequence.t -> int
-(** Global (Levenshtein) edit distance. Runs the banded core (Ukkonen
-    block cut-off) under iterative deepening — k starts at {!word_bits}
-    and doubles until the band survives — so the cost is O(m·d/62) block
-    steps for true distance d instead of the full sweep's O(m·n/62):
-    long low-divergence pairs skip almost every block. Bit-identical to
-    {!distance_full}. With [ws], the pattern masks, column vectors and
-    band scores come from the arena and the call is allocation-free in
-    steady state — the form the runtime's bit-parallel tier uses. *)
+(** Global (Levenshtein) edit distance. The first attempt is a one-word
+    diagonal band at k = 61: with δ = n − m, a path of cost ≤ k only
+    visits diagonals t with |t| + |δ − t| ≤ k — at most 62 of them — so
+    one 62-bit word per column, sliding down the pattern, holds them
+    all. The band tracks the cell on the corner diagonal (j + δ, j),
+    which is exact whenever its true value is ≤ k and bounds d from
+    below, so a pair with d ≤ 61 resolves in one word per column and a
+    farther pair abandons the attempt as soon as that cell passes 61.
+    Those pairs continue in the block band (Ukkonen block cut-off) under
+    iterative deepening — k starts at 122 (at |n − m| when the length
+    gap alone exceeds 61 and no one-word band fits) and doubles until
+    the band survives — so the cost is O(m·d/62) block steps for true distance d
+    instead of the full sweep's O(m·n/62): long low-divergence pairs
+    skip almost every block. Bit-identical to {!distance_full}. With
+    [ws], the pattern masks, column vectors and band scores come from
+    the arena and the call is allocation-free in steady state — the form
+    the runtime's bit-parallel tier uses. *)
 
 val distance_full : ?ws:Scratch.t -> Anyseq_bio.Sequence.t -> Anyseq_bio.Sequence.t -> int
 (** The pre-band full sweep: every block of every column, no cut-off.
@@ -46,13 +55,15 @@ val distance_upto :
   ?ws:Scratch.t -> k:int -> Anyseq_bio.Sequence.t -> Anyseq_bio.Sequence.t -> int option
 (** Bounded-distance form: [Some d] iff the edit distance d is ≤ [k] —
     bit-identical to [distance] whenever it returns [Some] — and [None]
-    as soon as the bound is provably exceeded, which for hopeless pairs
-    happens after a few columns (the band collapses) rather than after
-    the full O(nm/62) sweep. Runs the same iterative deepening as
-    [distance] with [k] as the ceiling, so the cost is O(m·min(k,d)/62)
-    block steps regardless of how loose the cap is: a near-identical
-    pair under a generous cap still resolves in the one-word band.
-    [k < 0] is always [None]. *)
+    as soon as the bound is provably exceeded. The first attempt is the
+    one-word diagonal band of {!distance} at min(k, 61); for a hopeless
+    pair it stops after a few columns, when the corner-diagonal cell
+    passes the cap, rather than after the full O(nm/62) sweep. Only a
+    cap above 61 on a pair with d > 61 reaches the block band, which
+    deepens from 122 with [k] as the ceiling, so the cost is
+    O(m·min(k,d)/62) block steps regardless of how loose the cap is: a
+    near-identical pair under a generous cap still resolves in one word
+    per column. [k < 0] is always [None]. *)
 
 val search :
   pattern:Anyseq_bio.Sequence.t -> text:Anyseq_bio.Sequence.t -> int * int

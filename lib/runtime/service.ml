@@ -205,12 +205,12 @@ let run_traceback t cache results (cfg : Config.t) group =
         ( "tier_staged",
           fun ~ws ~query ~subject -> Engine.align ~ws cfg.scheme cfg.mode ~query ~subject )
   in
-  Metrics.add (ctr t tier) (List.length group);
   Workspace.with_ws (fun ws ->
       List.iter
         (fun p ->
           if expired_at (Timer.now_ns ()) p then time_out t results p
           else begin
+            Metrics.incr (ctr t tier);
             let t0 = Timer.now_ns () in
             let a =
               Trace.with_span "backend.traceback"

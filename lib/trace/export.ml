@@ -1,16 +1,4 @@
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Jsonv = Anyseq_util.Jsonv
 
 let us_of ~origin ns = Int64.to_float (Int64.sub ns origin) /. 1e3
 
@@ -28,7 +16,7 @@ let chrome_json ?(pid = 1) spans =
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b
         "\n{\"name\":\"%s\",\"cat\":\"anyseq\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{"
-        (escape s.Trace.name)
+        (Jsonv.escape_string s.Trace.name)
         (us_of ~origin s.Trace.start_ns)
         (Int64.to_float (Int64.sub s.Trace.end_ns s.Trace.start_ns) /. 1e3)
         pid s.Trace.domain;
@@ -36,8 +24,10 @@ let chrome_json ?(pid = 1) spans =
         (fun j (k, v) ->
           if j > 0 then Buffer.add_char b ',';
           match v with
-          | Trace.Int n -> Printf.bprintf b "\"%s\":%d" (escape k) n
-          | Trace.Str str -> Printf.bprintf b "\"%s\":\"%s\"" (escape k) (escape str))
+          | Trace.Int n -> Printf.bprintf b "\"%s\":%d" (Jsonv.escape_string k) n
+          | Trace.Str str ->
+              Printf.bprintf b "\"%s\":\"%s\"" (Jsonv.escape_string k)
+                (Jsonv.escape_string str))
         s.Trace.attrs;
       Buffer.add_string b "}}")
     spans;

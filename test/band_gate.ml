@@ -10,7 +10,11 @@
       [Myers.distance_full] and the dense [Dp_linear] reference must
       agree exactly, and [Myers.distance_upto ~k] must answer [Some d]
       precisely when [k >= d] and [None] below it — the band may only
-      ever prune rows that cannot hold the optimum.
+      ever prune rows that cannot hold the optimum. A second sweep aims
+      at the one-word diagonal band that [distance_upto] tries first:
+      pattern lengths around word boundaries, length gaps around the
+      band's one-word limit, both orientations, caps on both sides of
+      that limit and of d, and hopeless pairs under tight caps.
 
    2. {b Cutoff-driven network ≡ uncapped network, byte for byte.} The
       similarity-network pipeline on star-family input, once with the
@@ -92,6 +96,93 @@ let engine_identity () =
     !pairs;
   !checked
 
+(* ---- 1b: one-word diagonal band edges ---- *)
+
+(* [q] with substitutions at [rate], then random single-base insertions
+   or deletions until it is [target] long — a pair whose length gap is
+   exactly |target - |q||. *)
+let reshape rng q ~target ~rate =
+  let b = Buffer.create (max target 1) in
+  String.iter
+    (fun c -> Buffer.add_char b (if Rng.float rng 1.0 < rate then "ACGT".[Rng.int rng 4] else c))
+    q;
+  let s = ref (Buffer.contents b) in
+  while String.length !s <> target do
+    let len = String.length !s in
+    if len < target then begin
+      let i = Rng.int rng (len + 1) in
+      s := String.sub !s 0 i ^ String.make 1 "ACGT".[Rng.int rng 4] ^ String.sub !s i (len - i)
+    end
+    else begin
+      let i = Rng.int rng len in
+      s := String.sub !s 0 i ^ String.sub !s (i + 1) (len - i - 1)
+    end
+  done;
+  !s
+
+(* Caps on both sides of the one-word band's limit and of the true
+   distance: the half-width limit ⌊(61+|δ|)/2⌋ of a band over the
+   diagonals max(-k, δ-k)..min(k, δ+k), the full-width limit 61 of a
+   band over the diagonals with |t| + |δ-t| ≤ k, |δ| itself (the smallest
+   cap that can succeed), d-1/d/d+1, and 0. *)
+let caps_around ~gap ~d =
+  let half = (61 + gap) / 2 in
+  [ 0; gap - 1; gap; half; half + 1; 61; 62; d - 1; d; d + 1 ]
+
+let check_caps what q s =
+  let d_ref = reference_distance q s in
+  let qs = dna q and ss = dna s in
+  let gap = abs (String.length q - String.length s) in
+  check (what ^ ": distance = Dp_linear") (Myers.distance qs ss = d_ref);
+  check (what ^ ": distance_full = Dp_linear") (Myers.distance_full qs ss = d_ref);
+  List.iter
+    (fun k ->
+      let expected = if d_ref <= k then Some d_ref else None in
+      check
+        (Printf.sprintf "%s: upto ~k:%d (d=%d)" what k d_ref)
+        (Myers.distance_upto ~k qs ss = expected))
+    (caps_around ~gap ~d:d_ref)
+
+(* Pattern lengths 1/61/62/63/124/125/200 put the band's [Eq] window at
+   bit offset 0 and across word boundaries; length gaps 0/1/30/31/61/62
+   straddle the one-word limit; both orientations (subject longer: the
+   band starts pinned at row 1; pattern longer) at three divergences,
+   the last an unrelated pair whose corner diagonal overruns any small
+   cap within a few columns. *)
+let diagonal_edges () =
+  let rng = Rng.create ~seed:20261017 in
+  let checked = ref 0 in
+  List.iter
+    (fun n ->
+      let q = random_dna rng n in
+      List.iter
+        (fun gap ->
+          List.iter
+            (fun target ->
+              if target >= 0 then
+                List.iter
+                  (fun (tag, s) ->
+                    check_caps (Printf.sprintf "n=%d m=%d %s" n target tag) q s;
+                    incr checked)
+                  [
+                    ("near", reshape rng q ~target ~rate:0.02);
+                    ("mid", reshape rng q ~target ~rate:0.2);
+                    ("far", random_dna rng target);
+                  ])
+            [ n + gap; n - gap ])
+        [ 0; 1; 30; 31; 61; 62 ])
+    [ 1; 61; 62; 63; 124; 125; 200 ];
+  (* hopeless pairs under tight caps: the early exit must refuse *)
+  List.iter
+    (fun (n, k) ->
+      let q = random_dna rng n and s = random_dna rng n in
+      check_caps (Printf.sprintf "hopeless n=%d" n) q s;
+      check (Printf.sprintf "hopeless n=%d refused at k=%d" n k)
+        (Myers.distance_upto ~k (dna q) (dna s) = None);
+      incr checked)
+    [ (200, 5); (1000, 20); (3000, 61) ];
+  !checked
+
 (* ---- 2: cutoff-driven network byte-identity ---- *)
 
 let families = 6
@@ -146,7 +237,7 @@ let run_once ~tag ~cutoff seqs =
 let read_bytes path = In_channel.with_open_text path In_channel.input_all
 
 let () =
-  let n_pairs = engine_identity () in
+  let n_pairs = engine_identity () + diagonal_edges () in
   let seqs = star_families ~seed:808 in
   let cut_out, cut = run_once ~tag:"cutoff" ~cutoff:true seqs in
   let unc_out, unc = run_once ~tag:"uncapped" ~cutoff:false seqs in

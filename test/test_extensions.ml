@@ -250,6 +250,53 @@ let myers_upto_band_edges =
         (q, near, far)) nat)
     (fun (q, near, far) -> upto_consistent q near && upto_consistent q far)
 
+(* The one-word diagonal band tried first: pattern lengths that put its
+   [Eq] window at bit offset 0 and across word boundaries, length gaps
+   around its one-word limit, both orientations (m > n pins the band at
+   row 1 for its first columns), and caps on both sides of that limit —
+   ⌊(61+|δ|)/2⌋ and 61 — as well as of d. *)
+let myers_upto_diagonal_edges =
+  Helpers.qtest ~count:120 "distance_upto around the one-word band limit"
+    QCheck2.Gen.(map (fun seed ->
+        let rng = Rng.create ~seed in
+        let n = List.nth [ 1; 61; 62; 63; 124; 125; 200 ] (Rng.int rng 7) in
+        let gap = List.nth [ 0; 1; 30; 31; 61; 62 ] (Rng.int rng 6) in
+        let m = if Rng.bool rng then n + gap else max 0 (n - gap) in
+        let q = Helpers.random_dna rng ~len:n in
+        let s =
+          match Rng.int rng 3 with
+          | 0 -> Helpers.random_dna rng ~len:m
+          | _ ->
+              (* a mutated copy, trimmed or padded with random bases to m *)
+              let t = Anyseq_seqio.Genome_gen.mutate rng q in
+              let tl = Sequence.length t in
+              if tl >= m then Sequence.sub t ~pos:0 ~len:m
+              else Sequence.concat t (Helpers.random_dna rng ~len:(m - tl))
+        in
+        (q, s)) nat)
+    (fun (q, s) ->
+      let d = exact_distance q s in
+      let gap = abs (Sequence.length q - Sequence.length s) in
+      let half = (61 + gap) / 2 in
+      upto_consistent q s
+      && List.for_all
+           (fun k -> Myers.distance_upto ~k q s = if d <= k then Some d else None)
+           [ gap - 1; gap; half; half + 1; 61; 62 ])
+
+let test_myers_upto_hopeless () =
+  (* unrelated pairs under tight caps: the corner diagonal overruns the
+     cap within a few columns and the answer is None, not a wrong Some *)
+  let rng = Rng.create ~seed:1017 in
+  List.iter
+    (fun (n, k) ->
+      let q = Helpers.random_dna rng ~len:n and s = Helpers.random_dna rng ~len:n in
+      let d = exact_distance q s in
+      Alcotest.(check bool) "hopeless pair is far" true (d > k);
+      Alcotest.(check (option int)) "refused under tight cap" None (Myers.distance_upto ~k q s);
+      Alcotest.(check (option int)) "resolved under loose cap" (Some d)
+        (Myers.distance_upto ~k:d q s))
+    [ (150, 0); (150, 10); (600, 30); (2000, 61) ]
+
 let test_myers_upto_degenerate () =
   let e = dna "" and x = dna "ACGT" in
   Alcotest.(check (option int)) "empty/empty" (Some 0) (Myers.distance_upto ~k:0 e e);
@@ -332,6 +379,8 @@ let () =
           myers_long_pattern_words;
           myers_upto_matches_dp;
           myers_upto_band_edges;
+          myers_upto_diagonal_edges;
+          Alcotest.test_case "upto hopeless" `Quick test_myers_upto_hopeless;
           Alcotest.test_case "upto degenerate" `Quick test_myers_upto_degenerate;
         ] );
       ( "db_search",

@@ -342,7 +342,12 @@ let test_service_timeout () =
                  r))));
   let m = Service.metrics svc in
   Alcotest.(check (option int)) "timeouts counted" (Some 2)
-    (Metrics.find m "runtime/jobs_timed_out")
+    (Metrics.find m "runtime/jobs_timed_out");
+  (* a job whose deadline passed never ran, so no tier counts it — the
+     timed-out traceback job included *)
+  let count name = Option.value ~default:0 (Metrics.find m name) in
+  Alcotest.(check int) "only the job that ran counts on a tier" 1
+    (count "runtime/tier_native" + count "runtime/tier_staged")
 
 let test_service_bad_sequence () =
   let svc = Service.create () in

@@ -58,8 +58,9 @@ module Sam = Anyseq_seqio.Sam
     sketches prune the O(n²) pair space through the inverted
     {!Net_index}, {!Pipeline} streams the surviving candidate pairs
     through the batch service into per-sequence {!Topk} hit heaps, the
-    {!Edges} spill writer externalizes the edge list as sorted TSV runs,
-    and {!Components} reduces it to a cluster summary. *)
+    {!Edges} spill writer externalizes the edge list as sorted binary
+    runs merged into one TSV, and {!Components} reduces it to a cluster
+    summary. *)
 
 module Minimizer = Anyseq_network.Minimizer
 module Net_index = Anyseq_network.Index

@@ -2,39 +2,58 @@ type edge = { a : int; b : int; score : int; ident : float; span : int }
 
 let compare_edge x y = if x.a <> y.a then compare x.a y.a else compare x.b y.b
 
+(* Merge sources signal exhaustion with [eof] (compared physically). Its
+   key (max_int, max_int) sorts after every real edge, since a < b, so
+   the merge's min-scan never picks it while a real head remains. *)
+let eof = { a = max_int; b = max_int; score = 0; ident = 0.0; span = 0 }
+
 type t = {
   tmp_dir : string;
   buffer : edge array;  (** fixed capacity; [len] is the fill level *)
+  scratch : edge array;  (** target of the sort's first counting pass *)
+  block : Bytes.t;  (** spill write block, reused across runs *)
   mutable len : int;
-  mutable run_files : string list;  (** newest first *)
+  mutable run_files : (string * int) list;  (** path and record count, newest first *)
   mutable spent : bool;
 }
 
 let default_buffer = 65536
 
-(* Run-file line format mirrors the final TSV but with raw indices and
-   the identity carried in full precision, so a spill-and-merge pipeline
-   is bit-identical to an in-memory one. *)
-let write_run_line oc e =
-  Printf.fprintf oc "%d\t%d\t%d\t%h\t%d\n" e.a e.b e.score e.ident e.span
+(* ---- binary run records ----
 
-let parse_run_line line =
-  match String.split_on_char '\t' line with
-  | [ a; b; score; ident; span ] ->
-      {
-        a = int_of_string a;
-        b = int_of_string b;
-        score = int_of_string score;
-        ident = float_of_string ident;
-        span = int_of_string span;
-      }
-  | _ -> failwith ("Edges: corrupt run line: " ^ line)
+   A run file is a sequence of fixed 40-byte little-endian records: a,
+   b, score, the identity's IEEE-754 bits, span. Read-back is a fixed
+   offset decode with no parsing, and the bit pattern carries the
+   identity exactly, so a spill-and-merge pipeline is bit-identical to
+   an in-memory one. *)
+
+let record_bytes = 40
+let block_records = 1024
+
+let encode buf off e =
+  Bytes.set_int64_le buf off (Int64.of_int e.a);
+  Bytes.set_int64_le buf (off + 8) (Int64.of_int e.b);
+  Bytes.set_int64_le buf (off + 16) (Int64.of_int e.score);
+  Bytes.set_int64_le buf (off + 24) (Int64.bits_of_float e.ident);
+  Bytes.set_int64_le buf (off + 32) (Int64.of_int e.span)
+
+let decode buf off =
+  let int at = Int64.to_int (Bytes.get_int64_le buf (off + at)) in
+  {
+    a = int 0;
+    b = int 8;
+    score = int 16;
+    ident = Int64.float_of_bits (Bytes.get_int64_le buf (off + 24));
+    span = int 32;
+  }
 
 let create ?(buffer = default_buffer) ~tmp_dir () =
   if buffer < 1 then invalid_arg "Edges.create: buffer must be positive";
   {
     tmp_dir;
-    buffer = Array.make buffer { a = 0; b = 0; score = 0; ident = 0.0; span = 0 };
+    buffer = Array.make buffer eof;
+    scratch = Array.make buffer eof;
+    block = Bytes.create (block_records * record_bytes);
     len = 0;
     run_files = [];
     spent = false;
@@ -43,17 +62,102 @@ let create ?(buffer = default_buffer) ~tmp_dir () =
 let buffered t = t.len
 let runs t = List.length t.run_files
 
+(* ---- sorting a run ----
+
+   An LSD radix sort: one stable counting pass on b into [scratch], one
+   on a back into [buffer]. Node indices are dense, so each pass is
+   linear in the run plus its key range. Keys spread much wider than the
+   run fall back to a stable merge sort. Either way the sort is stable:
+   edges with equal (a, b) keep their [add] order. *)
+
+let counting_pass ~key ~lo ~range src dst len =
+  let start = Array.make (range + 1) 0 in
+  for i = 0 to len - 1 do
+    let k = key src.(i) - lo + 1 in
+    start.(k) <- start.(k) + 1
+  done;
+  for k = 1 to range do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  for i = 0 to len - 1 do
+    let e = src.(i) in
+    let k = key e - lo in
+    dst.(start.(k)) <- e;
+    start.(k) <- start.(k) + 1
+  done
+
+let sort t =
+  let len = t.len in
+  let key_a e = e.a and key_b e = e.b in
+  (* (lo, range) of a key; an overflowing range comes out non-positive *)
+  let bounds key =
+    let lo = ref max_int and hi = ref min_int in
+    for i = 0 to len - 1 do
+      let k = key t.buffer.(i) in
+      if k < !lo then lo := k;
+      if k > !hi then hi := k
+    done;
+    (!lo, !hi - !lo + 1)
+  in
+  let dense (_, range) = range > 0 && range <= (4 * len) + 256 in
+  if len > 1 then begin
+    let ((a_lo, a_range) as a) = bounds key_a and ((b_lo, b_range) as b) = bounds key_b in
+    if dense a && dense b then begin
+      counting_pass ~key:key_b ~lo:b_lo ~range:b_range t.buffer t.scratch len;
+      counting_pass ~key:key_a ~lo:a_lo ~range:a_range t.scratch t.buffer len
+    end
+    else begin
+      let run = Array.sub t.buffer 0 len in
+      Array.stable_sort compare_edge run;
+      Array.blit run 0 t.buffer 0 len
+    end
+  end
+
+(* ---- spilling ---- *)
+
+let remove_runs t =
+  List.iter (fun (path, _) -> try Sys.remove path with Sys_error _ -> ()) t.run_files;
+  t.run_files <- []
+
+let write_records t oc =
+  let fill = ref 0 in
+  for i = 0 to t.len - 1 do
+    encode t.block (!fill * record_bytes) t.buffer.(i);
+    incr fill;
+    if !fill = block_records then begin
+      Out_channel.output oc t.block 0 (block_records * record_bytes);
+      fill := 0
+    end
+  done;
+  Out_channel.output oc t.block 0 (!fill * record_bytes)
+
 let spill t =
   if t.len > 0 then begin
-    let slice = Array.sub t.buffer 0 t.len in
-    Array.sort compare_edge slice;
+    sort t;
     let path =
       Filename.concat t.tmp_dir
-        (Printf.sprintf "anyseq-net-run-%d-%d.tsv" (Unix.getpid ()) (List.length t.run_files))
+        (Printf.sprintf "anyseq-net-run-%d-%d.bin" (Unix.getpid ()) (List.length t.run_files))
     in
-    Out_channel.with_open_text path (fun oc -> Array.iter (write_run_line oc) slice);
-    t.run_files <- path :: t.run_files;
-    t.len <- 0
+    (* a failed spill spends the writer and deletes every run it wrote,
+       the partial one included *)
+    let fail e =
+      let bt = Printexc.get_raw_backtrace () in
+      t.spent <- true;
+      remove_runs t;
+      Printexc.raise_with_backtrace e bt
+    in
+    match Out_channel.open_bin path with
+    | exception e -> fail e
+    | oc -> (
+        t.run_files <- (path, t.len) :: t.run_files;
+        match
+          write_records t oc;
+          Out_channel.close oc
+        with
+        | () -> t.len <- 0
+        | exception e ->
+            Out_channel.close_noerr oc;
+            fail e)
   end
 
 let add t e =
@@ -63,81 +167,128 @@ let add t e =
   t.buffer.(t.len) <- e;
   t.len <- t.len + 1
 
+(* ---- merging ---- *)
+
 type stats = { written : int; duplicates : int; spilled_runs : int }
 
-(* K-way merge: one cursor per source (each run file plus the sorted
-   residual buffer), repeatedly emitting the smallest head. Source count
-   is edges/buffer — small — so a linear scan per pop is fine. *)
-type source = { mutable head : edge option; next : unit -> edge option }
+exception Corrupt of string
+
+(* A run file read back one block at a time. Each record is checked
+   against what the writer guarantees — the record count, a < b, (a, b)
+   order — so a truncated, padded or scrambled run is reported, not
+   merged. *)
+let run_source path count =
+  let corrupt what = raise (Corrupt (Printf.sprintf "Edges: run file %s: %s" path what)) in
+  let ic = try In_channel.open_bin path with Sys_error msg -> raise (Corrupt msg) in
+  let block = Bytes.create (block_records * record_bytes) in
+  let left = ref count and pos = ref 0 and stop = ref 0 in
+  let prev = ref { eof with a = min_int; b = min_int } in
+  let rec next () =
+    if !pos < !stop then begin
+      let e = decode block !pos in
+      pos := !pos + record_bytes;
+      if e.a >= e.b || compare_edge e !prev < 0 then corrupt "record out of order";
+      prev := e;
+      e
+    end
+    else if !left > 0 then begin
+      let n = min !left block_records in
+      if In_channel.really_input ic block 0 (n * record_bytes) = None then
+        corrupt "truncated";
+      left := !left - n;
+      pos := 0;
+      stop := n * record_bytes;
+      next ()
+    end
+    else if In_channel.input_char ic <> None then corrupt "trailing bytes"
+    else eof
+  in
+  (ic, next)
+
+let array_source arr len =
+  let i = ref 0 in
+  fun () ->
+    if !i < len then begin
+      let e = arr.(!i) in
+      incr i;
+      e
+    end
+    else eof
+
+(* [%.2f] exactly as [Printf] renders it: the same C conversion, without
+   interpreting a format per edge *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let flush_bytes = 65536
+
+(* K-way merge over an array of sources: the oldest run first, the
+   sorted residual buffer last. A linear min-scan per pop (the source
+   count is edges/buffer, small) with a strict comparison, so ties go to
+   the oldest source; with the stable run sort, the first added record
+   of a duplicated (a, b) key is the one kept. *)
+let merge heads nexts oc ~name ~f =
+  let buf = Buffer.create (2 * flush_bytes) in
+  let written = ref 0 and duplicates = ref 0 and last = ref eof in
+  let k = Array.length heads in
+  let rec loop () =
+    let best = ref 0 in
+    for s = 1 to k - 1 do
+      if compare_edge heads.(s) heads.(!best) < 0 then best := s
+    done;
+    let e = heads.(!best) in
+    if e != eof then begin
+      heads.(!best) <- nexts.(!best) ();
+      if e.a = !last.a && e.b = !last.b then incr duplicates
+      else begin
+        last := e;
+        incr written;
+        Buffer.add_string buf (name e.a);
+        Buffer.add_char buf '\t';
+        Buffer.add_string buf (name e.b);
+        Buffer.add_char buf '\t';
+        Buffer.add_string buf (format_float "%.2f" (100.0 *. e.ident));
+        Buffer.add_char buf '\t';
+        Buffer.add_string buf (string_of_int e.span);
+        Buffer.add_char buf '\t';
+        Buffer.add_string buf (string_of_int e.score);
+        Buffer.add_char buf '\n';
+        if Buffer.length buf >= flush_bytes then begin
+          Buffer.output_buffer oc buf;
+          Buffer.clear buf
+        end;
+        f e
+      end;
+      loop ()
+    end
+  in
+  loop ();
+  Buffer.output_buffer oc buf;
+  (!written, !duplicates)
 
 let finish t ~out ~name ~f =
   if t.spent then invalid_arg "Edges.finish: writer already finished";
   t.spent <- true;
-  let spilled_runs = List.length t.run_files in
-  let residual = Array.sub t.buffer 0 t.len in
-  Array.sort compare_edge residual;
+  let runs = List.rev t.run_files in
+  sort t;
   let channels = ref [] in
-  let sources =
-    let of_channel ic () =
-      match In_channel.input_line ic with
-      | None -> None
-      | Some line -> Some (parse_run_line line)
-    in
-    let buf_pos = ref 0 in
-    let of_buffer () =
-      if !buf_pos < Array.length residual then begin
-        let e = residual.(!buf_pos) in
-        incr buf_pos;
-        Some e
-      end
-      else None
-    in
-    List.map
-      (fun path ->
-        let ic = In_channel.open_text path in
-        channels := ic :: !channels;
-        of_channel ic)
-      (List.rev t.run_files)
-    @ [ of_buffer ]
-  in
-  let sources =
-    List.filter_map
-      (fun next -> match next () with None -> None | Some e -> Some { head = Some e; next })
-      sources
-  in
-  let written = ref 0 and duplicates = ref 0 in
-  let last = ref None in
-  Out_channel.with_open_text out (fun oc ->
-      let emit e =
-        match !last with
-        | Some prev when compare_edge prev e = 0 -> incr duplicates
-        | _ ->
-            last := Some e;
-            incr written;
-            Printf.fprintf oc "%s\t%s\t%.2f\t%d\t%d\n" (name e.a) (name e.b)
-              (100.0 *. e.ident) e.span e.score;
-            f e
-      in
-      let rec loop sources =
-        match sources with
-        | [] -> ()
-        | _ ->
-            let best =
-              List.fold_left
-                (fun acc s ->
-                  match (acc, s.head) with
-                  | None, Some _ -> Some s
-                  | Some b, Some e when compare_edge e (Option.get b.head) < 0 -> Some s
-                  | _ -> acc)
-                None sources
-            in
-            let s = Option.get best in
-            emit (Option.get s.head);
-            s.head <- s.next ();
-            loop (List.filter (fun s -> s.head <> None) sources)
-      in
-      loop sources);
-  List.iter In_channel.close !channels;
-  List.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) t.run_files;
-  t.run_files <- [];
-  { written = !written; duplicates = !duplicates; spilled_runs }
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter In_channel.close_noerr !channels;
+      remove_runs t)
+    (fun () ->
+      match
+        let nexts =
+          Array.of_list
+            (List.map
+               (fun (path, count) ->
+                 let ic, next = run_source path count in
+                 channels := ic :: !channels;
+                 next)
+               runs
+            @ [ array_source t.buffer t.len ])
+        in
+        let heads = Array.map (fun next -> next ()) nexts in
+        Out_channel.with_open_text out (fun oc -> merge heads nexts oc ~name ~f)
+      with
+      | written, duplicates -> Ok { written; duplicates; spilled_runs = List.length runs }
+      | exception Corrupt msg -> Error msg)

@@ -362,48 +362,50 @@ let run ?service ?metrics ?tmp_dir ~out params source =
                         (Topk.to_sorted h)
                 done;
                 let uf = Components.create n in
-                let stats =
+                match
                   Edges.finish writer ~out
                     ~name:(fun i -> vec_get names i)
                     ~f:(fun e -> Components.union uf e.Edges.a e.Edges.b)
-                in
-                Metrics.add c_edges stats.Edges.written;
-                Metrics.add c_dups stats.Edges.duplicates;
-                let summary = Components.summarize uf in
-                Metrics.gauge_set m "network/components" summary.Components.components;
-                phase phase_done;
-                let elapsed = Unix.gettimeofday () -. t_start in
-                let align_s =
-                  if Float.is_nan !t_first_submit || Float.is_nan !t_last_await then 0.0
-                  else !t_last_await -. !t_first_submit
-                in
-                let aligned = Metrics.value c_aligned - b_aligned in
-                let cutoff = Metrics.value c_cutoff - b_cutoff in
-                Ok
-                  {
-                    sequences = n;
-                    too_short = Metrics.value c_short - b_short;
-                    pairs_total = Metrics.value c_total - b_total;
-                    pairs_pruned = Metrics.value c_pruned - b_pruned;
-                    pairs_aligned = aligned;
-                    pairs_cutoff = cutoff;
-                    pairs_timeout = Metrics.value c_timeout - b_timeout;
-                    pairs_failed = Metrics.value c_failed - b_failed;
-                    resubmits = Metrics.value c_resubmit - b_resubmit;
-                    evictions = Metrics.value c_evict - b_evict;
-                    edges = stats.Edges.written;
-                    edge_duplicates = stats.Edges.duplicates;
-                    spilled_runs = stats.Edges.spilled_runs;
-                    components = summary;
-                    index_postings = Index.postings index;
-                    elapsed_s = elapsed;
-                    pairs_per_s =
-                      (* throughput over every pair the align stage
-                         resolved — scored or proven hopeless by the
-                         banded cutoff *)
-                      (if align_s > 0.0 then float_of_int (aligned + cutoff) /. align_s
-                       else 0.0);
-                  }))
+                with
+                | Error msg -> Error msg
+                | Ok stats ->
+                    Metrics.add c_edges stats.Edges.written;
+                    Metrics.add c_dups stats.Edges.duplicates;
+                    let summary = Components.summarize uf in
+                    Metrics.gauge_set m "network/components" summary.Components.components;
+                    phase phase_done;
+                    let elapsed = Unix.gettimeofday () -. t_start in
+                    let align_s =
+                      if Float.is_nan !t_first_submit || Float.is_nan !t_last_await then 0.0
+                      else !t_last_await -. !t_first_submit
+                    in
+                    let aligned = Metrics.value c_aligned - b_aligned in
+                    let cutoff = Metrics.value c_cutoff - b_cutoff in
+                    Ok
+                      {
+                        sequences = n;
+                        too_short = Metrics.value c_short - b_short;
+                        pairs_total = Metrics.value c_total - b_total;
+                        pairs_pruned = Metrics.value c_pruned - b_pruned;
+                        pairs_aligned = aligned;
+                        pairs_cutoff = cutoff;
+                        pairs_timeout = Metrics.value c_timeout - b_timeout;
+                        pairs_failed = Metrics.value c_failed - b_failed;
+                        resubmits = Metrics.value c_resubmit - b_resubmit;
+                        evictions = Metrics.value c_evict - b_evict;
+                        edges = stats.Edges.written;
+                        edge_duplicates = stats.Edges.duplicates;
+                        spilled_runs = stats.Edges.spilled_runs;
+                        components = summary;
+                        index_postings = Index.postings index;
+                        elapsed_s = elapsed;
+                        pairs_per_s =
+                          (* throughput over every pair the align stage
+                             resolved — scored or proven hopeless by the
+                             banded cutoff *)
+                          (if align_s > 0.0 then float_of_int (aligned + cutoff) /. align_s
+                           else 0.0);
+                      }))
   with
   | result -> result
   | exception Sys_error msg -> Error msg

@@ -106,7 +106,8 @@ val run :
     to a private single-shard service (callers wanting shards build one
     and pass it); [?metrics] defaults to the service's registry;
     [?tmp_dir] (spill runs) to the system temp directory. Errors are
-    input-level: unreadable FASTA, bad record, unwritable output. *)
+    input-level: unreadable FASTA, bad record, unwritable output, or a
+    corrupt spill run ({!Edges.finish}). *)
 
 val status_json : Anyseq_runtime.Metrics.t -> string option
 (** Progress snapshot as one JSON object ([phase], [seqs_indexed],

@@ -3,7 +3,7 @@
 
    One synthetic input — 512 protein-sized DNA sequences in 8 star
    families of 64 (every member a light mutation of the family root, so
-   all within-family pairs stay similar) — and three assertions:
+   all within-family pairs stay similar) — and four assertions:
 
    1. {b Prefilter ≡ brute force.} The minimizer prefilter may only skip
       pairs that could never form an edge. The gate runs the pipeline
@@ -16,9 +16,14 @@
       admission order, scores and top-k tie-breaks are all deterministic,
       so worker-domain scheduling can never leak into the output.
 
-   3. {b Cluster stability.} Both component summaries must agree with
+   3. {b Cluster stability.} All component summaries must agree with
       each other and with the construction: 8 clusters of 64, no
-      singletons. *)
+      singletons.
+
+   4. {b Spill ≡ in-memory.} The edge records (about 4k) fit in the
+      default edge buffer, so the runs above never spill. The prefiltered
+      run once more with a 64-edge buffer must spill runs and still write
+      a byte-identical edge file. *)
 
 module Rng = Anyseq_util.Rng
 module Pipeline = Anyseq.Pipeline
@@ -55,16 +60,17 @@ let star_families ~seed =
   done;
   out
 
-let params ~min_shared =
+let params ?(edge_buffer = Pipeline.default_params.edge_buffer) ~min_shared () =
   {
     Pipeline.default_params with
     scheme = Scheme.unit_cost;
     min_shared;
     min_ident = 0.7;
     top_k = 8;
+    edge_buffer;
   }
 
-let run_once ~tag ~shards ~min_shared seqs =
+let run_once ?edge_buffer ~tag ~shards ~min_shared seqs =
   let out =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "anyseq-netgate-%d-%s.tsv" (Unix.getpid ()) tag)
@@ -73,7 +79,8 @@ let run_once ~tag ~shards ~min_shared seqs =
   let r =
     Fun.protect
       ~finally:(fun () -> Anyseq.Service.shutdown service)
-      (fun () -> Pipeline.run ~service ~out (params ~min_shared) (Pipeline.Seqs seqs))
+      (fun () ->
+        Pipeline.run ~service ~out (params ?edge_buffer ~min_shared ()) (Pipeline.Seqs seqs))
   in
   match r with
   | Ok rep -> (out, rep)
@@ -89,8 +96,11 @@ let () =
   let pre_out, pre = run_once ~tag:"prefilter" ~shards:1 ~min_shared:3 seqs in
   let ref_out, rf = run_once ~tag:"bruteforce" ~shards:1 ~min_shared:0 seqs in
   let sh2_out, sh2 = run_once ~tag:"shards2" ~shards:2 ~min_shared:3 seqs in
+  let spill_out, spill =
+    run_once ~edge_buffer:64 ~tag:"spill64" ~shards:1 ~min_shared:3 seqs
+  in
   Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ pre_out; ref_out; sh2_out ])
+    ~finally:(fun () -> List.iter Sys.remove [ pre_out; ref_out; sh2_out; spill_out ])
     (fun () ->
       (* sanity on the workload itself *)
       check "all sequences indexed" (pre.Pipeline.sequences = n);
@@ -107,6 +117,10 @@ let () =
       (* 2: shards=1 ≡ shards=2, byte for byte *)
       check "edge list identical at shards=1 and shards=2"
         (pre_bytes = read_bytes sh2_out);
+      (* 4: a spilling edge writer ≡ the in-memory one, byte for byte *)
+      check "default-buffer run never spilled" (pre.Pipeline.spilled_runs = 0);
+      check "64-edge buffer spilled runs" (spill.Pipeline.spilled_runs > 0);
+      check "edge list identical with spilled runs" (pre_bytes = read_bytes spill_out);
       (* 3: cluster structure is the constructed one, on every run *)
       List.iter
         (fun (tag, rep) ->
@@ -117,21 +131,23 @@ let () =
             && c.Components.largest = members
             && c.Components.singletons = 0
             && Array.for_all (fun (_, size) -> size = members) c.Components.sizes))
-        [ ("prefilter", pre); ("bruteforce", rf); ("shards2", sh2) ];
+        [ ("prefilter", pre); ("bruteforce", rf); ("shards2", sh2); ("spill64", spill) ];
       check "component counts agree across runs"
-        (pre.Pipeline.components.Components.components
-         = rf.Pipeline.components.Components.components
-        && pre.Pipeline.components.Components.components
-           = sh2.Pipeline.components.Components.components));
+        (List.for_all
+           (fun rep ->
+             rep.Pipeline.components.Components.components
+             = pre.Pipeline.components.Components.components)
+           [ rf; sh2; spill ]));
   if !failures = 0 then begin
     Printf.printf
       "network-gate OK: %d seqs, %d/%d pairs aligned (%.1f%% pruned), %d edges, %d \
-       clusters; prefilter ≡ brute force; shards 1 ≡ 2\n"
+       clusters; prefilter ≡ brute force; shards 1 ≡ 2; %d spilled runs ≡ in-memory\n"
       n pre.Pipeline.pairs_aligned pre.Pipeline.pairs_total
       (100.0
       *. float_of_int pre.Pipeline.pairs_pruned
       /. float_of_int (max 1 pre.Pipeline.pairs_total))
-      pre.Pipeline.edges pre.Pipeline.components.Components.clusters;
+      pre.Pipeline.edges pre.Pipeline.components.Components.clusters
+      spill.Pipeline.spilled_runs;
     exit 0
   end
   else begin

@@ -141,48 +141,263 @@ let test_topk_order_independent () =
 (* Edges                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_edges_spill_merge () =
-  let tmp = Filename.get_temp_dir_name () in
-  let out = Filename.temp_file "anyseq_test_edges" ".tsv" in
+(* A fresh directory per writer, so "no run file left behind" is a plain
+   listing check. *)
+let with_tmp_dir f =
+  let dir = Filename.temp_file "anyseq_test_edges" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
   Fun.protect
-    ~finally:(fun () -> Sys.remove out)
-    (fun () ->
+    ~finally:(fun () ->
+      Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let run_files dir =
+  List.filter
+    (String.starts_with ~prefix:"anyseq-net-run-")
+    (Array.to_list (Sys.readdir dir))
+
+let no_runs_left what dir =
+  match run_files dir with
+  | [] -> ()
+  | f :: _ -> Alcotest.failf "%s: run file %s not cleaned up" what f
+
+let edge_name = Printf.sprintf "n%d"
+
+(* Writes [adds] through a writer with the given buffer; returns the TSV
+   bytes, the hook sequence and the stats. *)
+let merge_edges ~buffer dir adds =
+  let w = Edges.create ~buffer ~tmp_dir:dir () in
+  List.iter (Edges.add w) adds;
+  let out = Filename.concat dir "edges.tsv" in
+  let seen = ref [] in
+  let stats =
+    match Edges.finish w ~out ~name:edge_name ~f:(fun e -> seen := e :: !seen) with
+    | Ok st -> st
+    | Error msg -> Alcotest.failf "finish at buffer %d: %s" buffer msg
+  in
+  no_runs_left (Printf.sprintf "buffer %d" buffer) dir;
+  let tsv = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (tsv, List.rev !seen, stats)
+
+(* The reference: keep the first added record of each (a, b) key, sort by
+   key, print with Printf. *)
+let reference_tsv adds =
+  let kept =
+    List.fold_left
+      (fun acc e ->
+        if List.exists (fun k -> k.Edges.a = e.Edges.a && k.Edges.b = e.Edges.b) acc then acc
+        else e :: acc)
+      [] adds
+  in
+  let edges =
+    List.sort_uniq (fun x y -> compare (x.Edges.a, x.Edges.b) (y.Edges.a, y.Edges.b)) kept
+  in
+  ( String.concat ""
+      (List.map
+         (fun e ->
+           Printf.sprintf "%s\t%s\t%.2f\t%d\t%d\n" (edge_name e.Edges.a) (edge_name e.Edges.b)
+             (100.0 *. e.Edges.ident) e.Edges.span e.Edges.score)
+         edges),
+    edges )
+
+let merge_buffers = [ 1; 2; 3; 8; 65536 ]
+
+(* Every buffer size must give the reference TSV bytes and hook sequence,
+   and the run count the buffer implies. *)
+let check_against_reference adds =
+  let ref_tsv, ref_edges = reference_tsv adds in
+  let n = List.length adds in
+  List.for_all
+    (fun buffer ->
+      with_tmp_dir (fun dir ->
+          let tsv, seen, st = merge_edges ~buffer dir adds in
+          let ok =
+            tsv = ref_tsv && seen = ref_edges
+            && st.Edges.written = List.length ref_edges
+            && st.Edges.duplicates = n - List.length ref_edges
+            && st.Edges.spilled_runs = (if n = 0 then 0 else (n - 1) / buffer)
+          in
+          if not ok then
+            QCheck2.Test.fail_reportf "buffer %d: %d adds, %d edges written, TSV %s" buffer n
+              st.Edges.written
+              (if tsv = ref_tsv then "equal" else "differs");
+          ok))
+    merge_buffers
+
+(* identities whose percent sits on or next to a %.2f rounding boundary *)
+let boundary_idents = [| 0.0; 1.0; 0.005; 0.125; 0.995; 0.00005; 0.00125; 0.33335; 0.99995 |]
+
+(* Edges with distinct (a, b) keys. Indices sit near one base (0, just
+   above 2^31, 2^40) or, half the time, near all three, which puts the
+   run's key range far beyond its length; scores take either sign. *)
+let random_edges rng =
+  let bases = [| 0; (1 lsl 31) + 3; 1 lsl 40 |] in
+  let spread = Rng.bool rng in
+  let base = bases.(Rng.int rng 3) in
+  let keys = Hashtbl.create 64 in
+  List.filter_map
+    (fun _ ->
+      let base = if spread then bases.(Rng.int rng 3) else base in
+      let a = base + Rng.int rng 16 in
+      let b = a + 1 + Rng.int rng 16 in
+      if Hashtbl.mem keys (a, b) then None
+      else begin
+        Hashtbl.add keys (a, b) ();
+        let ident =
+          if Rng.bool rng then boundary_idents.(Rng.int rng (Array.length boundary_idents))
+          else Rng.float rng 1.0
+        in
+        Some { Edges.a; b; score = Rng.int rng 2001 - 1000; ident; span = 1 + Rng.int rng 500 }
+      end)
+    (List.init (Rng.int rng 80) Fun.id)
+
+let shuffled rng l =
+  let arr = Array.of_list l in
+  Rng.shuffle rng arr;
+  Array.to_list arr
+
+let prop_edges_buffer_invariant =
+  Helpers.qtest ~count:100 "TSV and hooks independent of buffer, every edge twice"
+    Helpers.seeded_rng_gen (fun rng ->
+      let edges = random_edges rng in
+      check_against_reference (shuffled rng (edges @ edges)))
+
+let prop_edges_first_added_wins =
+  Helpers.qtest ~count:100 "duplicate keys keep the first added record" Helpers.seeded_rng_gen
+    (fun rng ->
+      let edges = random_edges rng in
+      let reweighed =
+        List.map (fun e -> { e with Edges.score = e.Edges.score + 1 + Rng.int rng 9 }) edges
+      in
+      check_against_reference (shuffled rng (edges @ reweighed)))
+
+let test_edges_spill_merge () =
+  with_tmp_dir (fun dir ->
       (* tiny buffer: force several spill runs; add each edge twice (the
          pipeline records from both endpoints) in scrambled order *)
-      let w = Edges.create ~buffer:8 ~tmp_dir:tmp () in
       let edges =
         List.init 30 (fun i ->
             { Edges.a = i mod 6; b = 6 + (i mod 24); score = 100 - i; ident = 0.75; span = 50 + i })
       in
-      let scrambled = List.rev edges @ edges in
-      List.iter (Edges.add w) scrambled;
-      Alcotest.(check bool) "spilled" true (Edges.runs w > 0);
-      let seen = ref [] in
-      let st = Edges.finish w ~out ~name:(Printf.sprintf "s%d") ~f:(fun e -> seen := e :: !seen) in
+      let _, seen, st = merge_edges ~buffer:8 dir (List.rev edges @ edges) in
       let distinct =
         List.sort_uniq compare (List.map (fun e -> (e.Edges.a, e.Edges.b)) edges)
       in
       Alcotest.(check int) "duplicates merged" (List.length distinct) st.Edges.written;
       Alcotest.(check int) "duplicate count" (2 * List.length edges - List.length distinct)
         st.Edges.duplicates;
-      Alcotest.(check bool) "spilled runs reported" true (st.Edges.spilled_runs > 0);
-      Alcotest.(check int) "hook saw every written edge" st.Edges.written (List.length !seen);
-      (* file is sorted by (a, b) index pair and one line per edge *)
-      let lines = In_channel.with_open_text out In_channel.input_lines in
-      Alcotest.(check int) "line count" st.Edges.written (List.length lines);
-      let keys =
-        List.rev_map (fun e -> (e.Edges.a, e.Edges.b)) !seen
-      in
-      Alcotest.(check bool) "hook order sorted" true (keys = List.sort compare keys);
-      (* no stray run files of ours left behind (pid-scoped names: files
-         from other processes sharing the temp dir don't count) *)
-      let prefix = Printf.sprintf "anyseq-net-run-%d-" (Unix.getpid ()) in
-      Array.iter
-        (fun f ->
-          if String.length f >= String.length prefix
-             && String.sub f 0 (String.length prefix) = prefix
-          then Alcotest.failf "run file %s not cleaned up" f)
-        (Sys.readdir tmp))
+      Alcotest.(check int) "spilled runs reported" 7 st.Edges.spilled_runs;
+      Alcotest.(check (list (pair int int))) "hook order sorted" distinct
+        (List.map (fun e -> (e.Edges.a, e.Edges.b)) seen))
+
+(* A writer over 20 edges at buffer 4: four runs spilled, four edges
+   still buffered, not finished. *)
+let spilled_writer dir =
+  let w = Edges.create ~buffer:4 ~tmp_dir:dir () in
+  for i = 0 to 19 do
+    Edges.add w { Edges.a = i mod 5; b = 5 + i; score = i; ident = 0.5; span = 10 }
+  done;
+  if Edges.runs w <> 4 || List.length (run_files dir) <> 4 then
+    Alcotest.fail "expected four run files";
+  w
+
+let finish_to_dir w dir = Edges.finish w ~out:(Filename.concat dir "out.tsv") ~name:edge_name
+
+let with_file path f =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+
+let test_edges_corrupt_run () =
+  let size path = (Unix.stat path).Unix.st_size in
+  let corruptions =
+    [
+      ("cut mid-record", fun path -> Unix.truncate path (size path - 17));
+      ("cut at a record boundary", fun path -> Unix.truncate path (size path - 40));
+      ("emptied", fun path -> Unix.truncate path 0);
+      ( "trailing bytes",
+        fun path ->
+          Out_channel.with_open_gen [ Open_append; Open_binary ] 0o600 path (fun oc ->
+              Out_channel.output_string oc "x") );
+      ( "a >= b",
+        fun path ->
+          with_file path (fun fd ->
+              ignore (Unix.write_substring fd "\xff\xff\xff\xff\xff\xff\xff\x3f" 0 8)) );
+      ("missing", Sys.remove);
+    ]
+  in
+  List.iter
+    (fun (what, corrupt) ->
+      with_tmp_dir (fun dir ->
+          let w = spilled_writer dir in
+          corrupt (Filename.concat dir (List.nth (List.sort compare (run_files dir)) 1));
+          (match finish_to_dir w dir ~f:ignore with
+          | Ok _ -> Alcotest.failf "%s: corrupt run merged" what
+          | Error _ -> ()
+          | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
+          no_runs_left what dir))
+    corruptions
+
+(* Random truncations, byte flips and appended bytes: [finish] answers
+   Ok or Error, never raises, and always deletes its runs. *)
+let prop_edges_run_fuzz =
+  Helpers.qtest ~count:100 "mutated runs: Ok or Error, no exception, no run left"
+    Helpers.seeded_rng_gen (fun rng ->
+      with_tmp_dir (fun dir ->
+          let w = spilled_writer dir in
+          let runs = Array.of_list (run_files dir) in
+          let path = Filename.concat dir runs.(Rng.int rng (Array.length runs)) in
+          let len = (Unix.stat path).Unix.st_size in
+          (match Rng.int rng 3 with
+          | 0 -> Unix.truncate path (Rng.int rng len)
+          | 1 ->
+              with_file path (fun fd ->
+                  ignore (Unix.lseek fd (Rng.int rng len) Unix.SEEK_SET);
+                  ignore
+                    (Unix.write_substring fd (String.make 1 (Char.chr (Rng.int rng 256))) 0 1))
+          | _ ->
+              Out_channel.with_open_gen [ Open_append; Open_binary ] 0o600 path (fun oc ->
+                  Out_channel.output_string oc (String.make (1 + Rng.int rng 80) 'z')));
+          (match finish_to_dir w dir ~f:ignore with
+          | Ok _ | Error _ -> ()
+          | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e));
+          run_files dir = []))
+
+let test_edges_hook_raises () =
+  with_tmp_dir (fun dir ->
+      let w = spilled_writer dir in
+      let calls = ref 0 in
+      Alcotest.check_raises "hook exception propagates" Exit (fun () ->
+          ignore
+            (finish_to_dir w dir ~f:(fun _ ->
+                 incr calls;
+                 if !calls = 3 then raise Exit)));
+      no_runs_left "after a raising hook" dir;
+      Alcotest.check_raises "writer spent" (Invalid_argument "Edges.finish: writer already finished")
+        (fun () -> ignore (finish_to_dir w dir ~f:ignore)))
+
+let test_edges_spill_failure () =
+  with_tmp_dir (fun dir ->
+      let w = Edges.create ~buffer:2 ~tmp_dir:dir () in
+      let e i = { Edges.a = 0; b = 1 + i; score = i; ident = 0.5; span = 10 } in
+      List.iter (fun i -> Edges.add w (e i)) [ 0; 1; 2 ];
+      Alcotest.(check int) "first run spilled" 1 (List.length (run_files dir));
+      (* a directory where the second run file goes makes that spill fail *)
+      let squat = Filename.concat dir (Printf.sprintf "anyseq-net-run-%d-1.bin" (Unix.getpid ())) in
+      Sys.mkdir squat 0o700;
+      Fun.protect
+        ~finally:(fun () -> Sys.rmdir squat)
+        (fun () ->
+          Edges.add w (e 3);
+          (match Edges.add w (e 4) with
+          | () -> Alcotest.fail "spill into a directory succeeded"
+          | exception Sys_error _ -> ());
+          Alcotest.(check (list string)) "earlier run deleted" [ Filename.basename squat ]
+            (run_files dir);
+          Alcotest.check_raises "writer spent" (Invalid_argument "Edges.add: writer already finished")
+            (fun () -> Edges.add w (e 5))))
 
 (* ------------------------------------------------------------------ *)
 (* Components                                                          *)
@@ -342,7 +557,16 @@ let () =
           Alcotest.test_case "brute-force mode" `Quick test_index_brute_force_mode;
         ] );
       ("topk", [ Alcotest.test_case "order independent" `Quick test_topk_order_independent ]);
-      ("edges", [ Alcotest.test_case "spill and merge" `Quick test_edges_spill_merge ]);
+      ( "edges",
+        [
+          Alcotest.test_case "spill and merge" `Quick test_edges_spill_merge;
+          prop_edges_buffer_invariant;
+          prop_edges_first_added_wins;
+          Alcotest.test_case "corrupt run is an Error" `Quick test_edges_corrupt_run;
+          prop_edges_run_fuzz;
+          Alcotest.test_case "raising hook cleans up" `Quick test_edges_hook_raises;
+          Alcotest.test_case "failed spill cleans up" `Quick test_edges_spill_failure;
+        ] );
       ("components", [ Alcotest.test_case "summary" `Quick test_components ]);
       ( "pipeline",
         [

@@ -7,13 +7,16 @@ let compare_edge x y = if x.a <> y.a then compare x.a y.a else compare x.b y.b
    the merge's min-scan never picks it while a real head remains. *)
 let eof = { a = max_int; b = max_int; score = 0; ident = 0.0; span = 0 }
 
+(* A spilled run: its file, record count and the smallest and largest
+   node index it holds, which the reader checks every record against. *)
+type run = { path : string; count : int; lo : int; hi : int }
+
 type t = {
   tmp_dir : string;
   buffer : edge array;  (** fixed capacity; [len] is the fill level *)
-  scratch : edge array;  (** target of the sort's first counting pass *)
   block : Bytes.t;  (** spill write block, reused across runs *)
   mutable len : int;
-  mutable run_files : (string * int) list;  (** path and record count, newest first *)
+  mutable run_files : run list;  (** newest first *)
   mutable spent : bool;
 }
 
@@ -52,7 +55,6 @@ let create ?(buffer = default_buffer) ~tmp_dir () =
   {
     tmp_dir;
     buffer = Array.make buffer eof;
-    scratch = Array.make buffer eof;
     block = Bytes.create (block_records * record_bytes);
     len = 0;
     run_files = [];
@@ -62,67 +64,27 @@ let create ?(buffer = default_buffer) ~tmp_dir () =
 let buffered t = t.len
 let runs t = List.length t.run_files
 
-(* ---- sorting a run ----
-
-   An LSD radix sort: one stable counting pass on b into [scratch], one
-   on a back into [buffer]. Node indices are dense, so each pass is
-   linear in the run plus its key range. Keys spread much wider than the
-   run fall back to a stable merge sort. Either way the sort is stable:
-   edges with equal (a, b) keep their [add] order. *)
-
-let counting_pass ~key ~lo ~range src dst len =
-  let start = Array.make (range + 1) 0 in
-  for i = 0 to len - 1 do
-    let k = key src.(i) - lo + 1 in
-    start.(k) <- start.(k) + 1
-  done;
-  for k = 1 to range do
-    start.(k) <- start.(k) + start.(k - 1)
-  done;
-  for i = 0 to len - 1 do
-    let e = src.(i) in
-    let k = key e - lo in
-    dst.(start.(k)) <- e;
-    start.(k) <- start.(k) + 1
-  done
-
-let sort t =
-  let len = t.len in
-  let key_a e = e.a and key_b e = e.b in
-  (* (lo, range) of a key; an overflowing range comes out non-positive *)
-  let bounds key =
-    let lo = ref max_int and hi = ref min_int in
-    for i = 0 to len - 1 do
-      let k = key t.buffer.(i) in
-      if k < !lo then lo := k;
-      if k > !hi then hi := k
-    done;
-    (!lo, !hi - !lo + 1)
-  in
-  let dense (_, range) = range > 0 && range <= (4 * len) + 256 in
-  if len > 1 then begin
-    let ((a_lo, a_range) as a) = bounds key_a and ((b_lo, b_range) as b) = bounds key_b in
-    if dense a && dense b then begin
-      counting_pass ~key:key_b ~lo:b_lo ~range:b_range t.buffer t.scratch len;
-      counting_pass ~key:key_a ~lo:a_lo ~range:a_range t.scratch t.buffer len
-    end
-    else begin
-      let run = Array.sub t.buffer 0 len in
-      Array.stable_sort compare_edge run;
-      Array.blit run 0 t.buffer 0 len
-    end
-  end
+(* The buffered edges in (a, b) order. The sort is stable, so edges
+   with equal keys keep their [add] order. *)
+let sorted t =
+  let run = Array.sub t.buffer 0 t.len in
+  Array.stable_sort compare_edge run;
+  run
 
 (* ---- spilling ---- *)
 
 let remove_runs t =
-  List.iter (fun (path, _) -> try Sys.remove path with Sys_error _ -> ()) t.run_files;
+  List.iter (fun r -> try Sys.remove r.path with Sys_error _ -> ()) t.run_files;
   t.run_files <- []
 
-let write_records t oc =
+let discard t =
+  t.spent <- true;
+  remove_runs t
+
+let write_records t oc run =
   let fill = ref 0 in
-  for i = 0 to t.len - 1 do
-    encode t.block (!fill * record_bytes) t.buffer.(i);
+  for i = 0 to Array.length run - 1 do
+    encode t.block (!fill * record_bytes) run.(i);
     incr fill;
     if !fill = block_records then begin
       Out_channel.output oc t.block 0 (block_records * record_bytes);
@@ -133,7 +95,7 @@ let write_records t oc =
 
 let spill t =
   if t.len > 0 then begin
-    sort t;
+    let run = sorted t in
     let path =
       Filename.concat t.tmp_dir
         (Printf.sprintf "anyseq-net-run-%d-%d.bin" (Unix.getpid ()) (List.length t.run_files))
@@ -142,16 +104,16 @@ let spill t =
        the partial one included *)
     let fail e =
       let bt = Printexc.get_raw_backtrace () in
-      t.spent <- true;
-      remove_runs t;
+      discard t;
       Printexc.raise_with_backtrace e bt
     in
     match Out_channel.open_bin path with
     | exception e -> fail e
     | oc -> (
-        t.run_files <- (path, t.len) :: t.run_files;
+        let lo = run.(0).a and hi = Array.fold_left (fun hi e -> max hi e.b) min_int run in
+        t.run_files <- { path; count = t.len; lo; hi } :: t.run_files;
         match
-          write_records t oc;
+          write_records t oc run;
           Out_channel.close oc
         with
         | () -> t.len <- 0
@@ -175,9 +137,10 @@ exception Corrupt of string
 
 (* A run file read back one block at a time. Each record is checked
    against what the writer guarantees — the record count, a < b, (a, b)
-   order — so a truncated, padded or scrambled run is reported, not
-   merged. *)
-let run_source path count =
+   order, indices within the run's [lo, hi] — so a truncated, padded or
+   scrambled run is reported, not merged, and never hands [name] or the
+   hook an index the writer was not given. *)
+let run_source { path; count; lo; hi } =
   let corrupt what = raise (Corrupt (Printf.sprintf "Edges: run file %s: %s" path what)) in
   let ic = try In_channel.open_bin path with Sys_error msg -> raise (Corrupt msg) in
   let block = Bytes.create (block_records * record_bytes) in
@@ -188,6 +151,7 @@ let run_source path count =
       let e = decode block !pos in
       pos := !pos + record_bytes;
       if e.a >= e.b || compare_edge e !prev < 0 then corrupt "record out of order";
+      if e.a < lo || e.b > hi then corrupt "node index out of range";
       prev := e;
       e
     end
@@ -205,19 +169,15 @@ let run_source path count =
   in
   (ic, next)
 
-let array_source arr len =
+let array_source arr =
   let i = ref 0 in
   fun () ->
-    if !i < len then begin
+    if !i < Array.length arr then begin
       let e = arr.(!i) in
       incr i;
       e
     end
     else eof
-
-(* [%.2f] exactly as [Printf] renders it: the same C conversion, without
-   interpreting a format per edge *)
-external format_float : string -> float -> string = "caml_format_float"
 
 let flush_bytes = 65536
 
@@ -242,16 +202,8 @@ let merge heads nexts oc ~name ~f =
       else begin
         last := e;
         incr written;
-        Buffer.add_string buf (name e.a);
-        Buffer.add_char buf '\t';
-        Buffer.add_string buf (name e.b);
-        Buffer.add_char buf '\t';
-        Buffer.add_string buf (format_float "%.2f" (100.0 *. e.ident));
-        Buffer.add_char buf '\t';
-        Buffer.add_string buf (string_of_int e.span);
-        Buffer.add_char buf '\t';
-        Buffer.add_string buf (string_of_int e.score);
-        Buffer.add_char buf '\n';
+        Printf.bprintf buf "%s\t%s\t%.2f\t%d\t%d\n" (name e.a) (name e.b) (100.0 *. e.ident)
+          e.span e.score;
         if Buffer.length buf >= flush_bytes then begin
           Buffer.output_buffer oc buf;
           Buffer.clear buf
@@ -269,26 +221,32 @@ let finish t ~out ~name ~f =
   if t.spent then invalid_arg "Edges.finish: writer already finished";
   t.spent <- true;
   let runs = List.rev t.run_files in
-  sort t;
-  let channels = ref [] in
+  let residual = sorted t in
+  let channels = ref [] and opened = ref false and complete = ref false in
   Fun.protect
     ~finally:(fun () ->
       List.iter In_channel.close_noerr !channels;
-      remove_runs t)
+      remove_runs t;
+      (* a merge that did not complete leaves no partial TSV *)
+      if !opened && not !complete then try Sys.remove out with Sys_error _ -> ())
     (fun () ->
       match
         let nexts =
           Array.of_list
             (List.map
-               (fun (path, count) ->
-                 let ic, next = run_source path count in
+               (fun run ->
+                 let ic, next = run_source run in
                  channels := ic :: !channels;
                  next)
                runs
-            @ [ array_source t.buffer t.len ])
+            @ [ array_source residual ])
         in
         let heads = Array.map (fun next -> next ()) nexts in
-        Out_channel.with_open_text out (fun oc -> merge heads nexts oc ~name ~f)
+        Out_channel.with_open_text out (fun oc ->
+            opened := true;
+            merge heads nexts oc ~name ~f)
       with
-      | written, duplicates -> Ok { written; duplicates; spilled_runs = List.length runs }
+      | written, duplicates ->
+          complete := true;
+          Ok { written; duplicates; spilled_runs = List.length runs }
       | exception Corrupt msg -> Error msg)

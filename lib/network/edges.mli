@@ -12,10 +12,9 @@
     Runs are binary: fixed 40-byte little-endian records ([a], [b],
     [score], the IEEE-754 bits of [ident], [span]; eight bytes each), so
     reading one back is a fixed-offset decode and the identity
-    round-trips bit-exactly. Each run is sorted by a stable radix sort —
-    a counting pass on [b], then one on [a] — so edges with equal keys
-    keep their [add] order, and the merge breaks ties toward the oldest
-    run. Together these make the dedupe rule exact: of the records
+    round-trips bit-exactly. Each run is sorted by a stable merge sort,
+    so edges with equal keys keep their [add] order, and the merge
+    breaks ties toward the oldest run. Together these make the dedupe rule exact: of the records
     sharing an [(a, b)] key, the {e first added} is the one written.
 
     The TSV is EFI-filterblast-compatible in spirit: one edge per line,
@@ -34,18 +33,23 @@ type edge = {
 type t
 
 val default_buffer : int
-(** 65536 edges per in-memory run: about 4 MB of records, buffer and
-    sort scratch, and a 2.5 MB run file per spill. *)
+(** 65536 edges per in-memory run: about 3.5 MB of records and buffer,
+    a transient sorted copy of the buffer per spill, and a 2.5 MB run
+    file per spill. *)
 
 val create : ?buffer:int -> tmp_dir:string -> unit -> t
 (** [buffer] (default {!default_buffer}) edges held in memory between
     spills. Run files ([anyseq-net-run-<pid>-<n>.bin]) are created under
-    [tmp_dir] and deleted by {!finish}. *)
+    [tmp_dir] and deleted by {!finish} or {!discard}. *)
 
 val add : t -> edge -> unit
 (** Buffers one edge, spilling a sorted run first when the buffer is
     full. If the spill raises (an I/O error), the writer is spent and
     every run file it wrote is deleted before the exception propagates. *)
+
+val discard : t -> unit
+(** Deletes every run file and spends the writer, for a caller that
+    gives up before {!finish}. Does nothing more on a spent writer. *)
 
 val buffered : t -> int
 
@@ -62,6 +66,7 @@ val finish :
 
     [Error] when a run file cannot be opened or is corrupt: shorter or
     longer than the records written to it, or holding a record out of
-    [(a, b)] order. Exceptions from [f] or from writing [out] propagate.
-    In every case the run files are closed and deleted, and the writer
-    is spent afterwards. *)
+    [(a, b)] order or with a node index outside those the run was
+    written with. Exceptions from [f] or from writing [out] propagate.
+    In every case the run files are closed and deleted, [out] is removed
+    unless the merge completed, and the writer is spent afterwards. *)

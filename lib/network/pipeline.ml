@@ -341,31 +341,36 @@ let run ?service ?metrics ?tmp_dir ~out params source =
             Trace.with_span "network.cluster" (fun () ->
                 let n = seqs.len in
                 let writer = Edges.create ~buffer:params.edge_buffer ~tmp_dir () in
-                for i = 0 to n - 1 do
-                  match vec_get heaps i with
-                  | None -> ()
-                  | Some h ->
-                      Array.iter
-                        (fun (hit : Topk.hit) ->
-                          let p = hit.Topk.partner in
-                          let span =
-                            max (Seq.length (vec_get seqs i)) (Seq.length (vec_get seqs p))
-                          in
-                          Edges.add writer
-                            {
-                              Edges.a = min i p;
-                              b = max i p;
-                              score = hit.Topk.score;
-                              ident = hit.Topk.ident;
-                              span;
-                            })
-                        (Topk.to_sorted h)
-                done;
                 let uf = Components.create n in
+                (* [discard] finds no runs left after [finish]; it cleans up
+                   when an [add] raises or the run is interrupted *)
                 match
-                  Edges.finish writer ~out
-                    ~name:(fun i -> vec_get names i)
-                    ~f:(fun e -> Components.union uf e.Edges.a e.Edges.b)
+                  Fun.protect
+                    ~finally:(fun () -> Edges.discard writer)
+                    (fun () ->
+                      for i = 0 to n - 1 do
+                        match vec_get heaps i with
+                        | None -> ()
+                        | Some h ->
+                            Array.iter
+                              (fun (hit : Topk.hit) ->
+                                let p = hit.Topk.partner in
+                                let span =
+                                  max (Seq.length (vec_get seqs i)) (Seq.length (vec_get seqs p))
+                                in
+                                Edges.add writer
+                                  {
+                                    Edges.a = min i p;
+                                    b = max i p;
+                                    score = hit.Topk.score;
+                                    ident = hit.Topk.ident;
+                                    span;
+                                  })
+                              (Topk.to_sorted h)
+                      done;
+                      Edges.finish writer ~out
+                        ~name:(fun i -> vec_get names i)
+                        ~f:(fun e -> Components.union uf e.Edges.a e.Edges.b))
                 with
                 | Error msg -> Error msg
                 | Ok stats ->

@@ -304,7 +304,15 @@ let spilled_writer dir =
     Alcotest.fail "expected four run files";
   w
 
-let finish_to_dir w dir = Edges.finish w ~out:(Filename.concat dir "out.tsv") ~name:edge_name
+(* [spilled_writer] uses node indices 0..24; like the pipeline's name
+   table, this [name] rejects any other index. *)
+let spilled_name i =
+  if i < 0 || i > 24 then invalid_arg "node index out of range" else edge_name i
+
+let finish_to_dir w dir = Edges.finish w ~out:(Filename.concat dir "out.tsv") ~name:spilled_name
+
+let no_out_left what dir =
+  if Sys.file_exists (Filename.concat dir "out.tsv") then Alcotest.failf "%s: partial TSV left" what
 
 let with_file path f =
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
@@ -325,6 +333,13 @@ let test_edges_corrupt_run () =
         fun path ->
           with_file path (fun fd ->
               ignore (Unix.write_substring fd "\xff\xff\xff\xff\xff\xff\xff\x3f" 0 8)) );
+      (* the last record of the second run is (4, 9) after (2, 12): b =
+         1000 keeps it in order but names no node the run was given *)
+      ( "index out of range",
+        fun path ->
+          with_file path (fun fd ->
+              ignore (Unix.lseek fd ((3 * 40) + 8) Unix.SEEK_SET);
+              ignore (Unix.write_substring fd "\xe8\x03\x00\x00\x00\x00\x00\x00" 0 8)) );
       ("missing", Sys.remove);
     ]
   in
@@ -337,11 +352,14 @@ let test_edges_corrupt_run () =
           | Ok _ -> Alcotest.failf "%s: corrupt run merged" what
           | Error _ -> ()
           | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
-          no_runs_left what dir))
+          no_runs_left what dir;
+          no_out_left what dir))
     corruptions
 
 (* Random truncations, byte flips and appended bytes: [finish] answers
-   Ok or Error, never raises, and always deletes its runs. *)
+   Ok or Error, never raises, and always deletes its runs. [name] rejects
+   indices the writer was not given, so a flip that moves an index out
+   of range has to come back as an Error. *)
 let prop_edges_run_fuzz =
   Helpers.qtest ~count:100 "mutated runs: Ok or Error, no exception, no run left"
     Helpers.seeded_rng_gen (fun rng ->
@@ -375,8 +393,18 @@ let test_edges_hook_raises () =
                  incr calls;
                  if !calls = 3 then raise Exit)));
       no_runs_left "after a raising hook" dir;
+      no_out_left "after a raising hook" dir;
       Alcotest.check_raises "writer spent" (Invalid_argument "Edges.finish: writer already finished")
         (fun () -> ignore (finish_to_dir w dir ~f:ignore)))
+
+let test_edges_discard () =
+  with_tmp_dir (fun dir ->
+      let w = spilled_writer dir in
+      Edges.discard w;
+      no_runs_left "after discard" dir;
+      Edges.discard w;
+      Alcotest.check_raises "writer spent" (Invalid_argument "Edges.add: writer already finished")
+        (fun () -> Edges.add w { Edges.a = 0; b = 1; score = 0; ident = 0.5; span = 10 }))
 
 let test_edges_spill_failure () =
   with_tmp_dir (fun dir ->
@@ -566,6 +594,7 @@ let () =
           prop_edges_run_fuzz;
           Alcotest.test_case "raising hook cleans up" `Quick test_edges_hook_raises;
           Alcotest.test_case "failed spill cleans up" `Quick test_edges_spill_failure;
+          Alcotest.test_case "discard cleans up" `Quick test_edges_discard;
         ] );
       ("components", [ Alcotest.test_case "summary" `Quick test_components ]);
       ( "pipeline",

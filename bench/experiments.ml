@@ -593,16 +593,13 @@ let run_runtime cfg =
   let service = Anyseq.Service.create ~capacity:(max 1 (Array.length spairs)) () in
   (* Per-tier dispatch counters: which engine the proof-directed dispatcher
      actually ran each batch on (delta across the timed run). *)
-  let tier_names =
-    [ "bitparallel"; "banded"; "banded_cutoff"; "native"; "staged"; "simd"; "wavefront" ]
-  in
   let tier_counts svc =
     List.map
       (fun n ->
         ( n,
           Option.value ~default:0
             (Anyseq.Metrics.find (Anyseq.Service.metrics svc) ("runtime/tier_" ^ n)) ))
-      tier_names
+      Anyseq.Service.tier_names
   in
   let tier_delta before after =
     match
@@ -918,7 +915,7 @@ let run_server cfg =
   Printf.printf
     "Network server -- %d clients x %d read pairs of 150 bp over a loopback\n\
      Unix socket, window %d requests in flight per client, score-only jobs\n\
-     through one shared service (batcher window %d us, max batch %d).\n"
+     through one shared service (batcher max wait %d us, max batch %d).\n"
     clients (Array.length spairs) window 2000 64;
   let path =
     Filename.concat (Filename.get_temp_dir_name ())

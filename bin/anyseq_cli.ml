@@ -539,7 +539,10 @@ let serve_cmd =
   let max_wait_us_t =
     Arg.(
       value & opt int 2000
-      & info [ "max-wait-us" ] ~doc:"Batch formation window in microseconds.")
+      & info [ "max-wait-us" ]
+          ~doc:
+            "Upper bound, in microseconds, on how long a batch forms while another \
+             executes. While the server is not busy, requests are dispatched at once.")
   in
   let max_pending_t =
     Arg.(

@@ -98,6 +98,9 @@ and ticket = {
 
 let long_pair_cells = 4_000_000
 
+let tier_names =
+  [ "bitparallel"; "banded"; "banded_cutoff"; "native"; "staged"; "simd"; "wavefront" ]
+
 let deadline_of timeout_s now =
   match timeout_s with
   | None -> Int64.max_int

@@ -229,5 +229,9 @@ val set_chunk_hook : t -> (int -> unit) option -> unit
 val long_pair_cells : int
 (** Auto-escalation threshold to the wavefront tier (4 M cells). *)
 
+val tier_names : string list
+(** Every execution tier, in the order dashboards list them. Tier [n]
+    counts its jobs under the [runtime/tier_n] counter. *)
+
 val default : unit -> t
 (** Lazily-created shared service, used by [Anyseq.align_batch]. *)

@@ -410,16 +410,23 @@ let reply_batch t inf =
       | _ -> ())
     items
 
+(* A batch leaves the batcher's in-flight count once its replies are out —
+   also when replying raised, or the next batch would wait out its whole
+   window behind a batch that no longer executes. *)
+let reply_and_release t inf =
+  Fun.protect ~finally:(fun () -> Batcher.release t.batcher) (fun () -> reply_batch t inf)
+
 let worker_loop t =
   let rec go () =
     match Batcher.next_batch t.batcher with
     | None -> ()
-    | Some batch ->
+    | Some (batch, why) ->
+        Metrics.incr (ctr t ("batch_close_" ^ Batcher.close_name why));
         let inf = submit_batch t batch in
         (* The completion queue full means the completer is behind by
            [max_pending] batches: await this one right here instead of
            letting tickets pile up unboundedly. *)
-        if not (Batcher.push t.completions inf) then reply_batch t inf;
+        if not (Batcher.push t.completions inf) then reply_and_release t inf;
         go ()
   in
   go ()
@@ -429,7 +436,7 @@ let completer_loop t =
     match Batcher.take_one t.completions with
     | None -> ()
     | Some inf ->
-        reply_batch t inf;
+        reply_and_release t inf;
         go ()
   in
   go ()
@@ -630,7 +637,7 @@ let statusz_json t =
     (fun i tier ->
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b "\"%s\":%d" tier (c ("runtime/tier_" ^ tier)))
-    [ "bitparallel"; "banded"; "banded_cutoff"; "native"; "staged"; "simd"; "wavefront" ];
+    Service.tier_names;
   Buffer.add_string b "},";
   Buffer.add_string b "\"stages\":{";
   List.iteri

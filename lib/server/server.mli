@@ -18,12 +18,15 @@
       configuration maps to one physical [Config.t] and the
       specialization caches stay warm across connections;
     - {b dispatch workers} — [dispatch_workers] threads looping
-      [Batcher.next_batch] → parse → [Service.submit_seqs]. The batcher
-      closes a batch on max-size, max-wait (2 ms default) or drain —
-      continuous batching: bursts group, lone requests leave quickly.
+      [Batcher.next_batch] → parse → [Service.submit_seqs]. With fewer
+      than two batches in flight the batcher hands out whatever is
+      queued at once; behind two it closes the forming batch when one
+      is released (after its replies), on max-size, on drain, or when
+      max-wait (2 ms default, an upper bound) runs out — continuous
+      batching: batch size follows load, lone requests never wait.
       Submit returns as soon as the batch's chunks are on the shard
       queues, so the worker forms the next batch while the shards
-      execute this one — batches overlap instead of serializing;
+      execute this one;
     - {b completer} — one thread popping tickets off a completion queue
       in submission order, [Service.await]ing each and fanning its
       replies out;
@@ -65,7 +68,9 @@ module Addr = Anyseq_client.Addr
 type config = {
   addrs : Addr.t list;  (** listeners; at least one *)
   max_batch : int;  (** batch size bound (default 64) *)
-  max_wait_us : int;  (** batch formation window (default 2000) *)
+  max_wait_us : int;
+      (** upper bound on how long a batch forms while another executes
+          (default 2000) *)
   max_pending : int;  (** request queue bound — beyond it, [Rejected] (default 8192) *)
   dispatch_workers : int;  (** concurrent submit loops (default 1) *)
   shards : int;

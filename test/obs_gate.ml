@@ -21,7 +21,11 @@
 
    4. {b The flight recorder saw the flight.} The ring recorded every
       replied request (load is below its capacity here) and
-      [/debug/flight] serves them as parsable JSON. *)
+      [/debug/flight] serves them as parsable JSON.
+
+   5. {b Every batch has one close reason.} The [server/batch_close_*]
+      counters (full, idle, window, drain) sum to the number of batches
+      the [server/batch_jobs] histogram observed. *)
 
 module Rng = Anyseq_util.Rng
 module Service = Anyseq.Service
@@ -189,6 +193,19 @@ let () =
           | Error msg -> checkf "flight" "unparsable JSON: %s" msg false)
       | Ok (status, _) -> checkf "flight" "HTTP %d" status false
       | Error msg -> checkf "flight" "%s" msg false);
+      (* ---- 5: batch close reasons ---- *)
+      let closes =
+        List.fold_left
+          (fun acc why ->
+            acc + Option.value ~default:0 (Metrics.find m ("server/batch_close_" ^ why)))
+          0
+          [ "full"; "idle"; "window"; "drain" ]
+      in
+      (match Metrics.find_hist m "server/batch_jobs" with
+      | Some h ->
+          checkf "batches" "close reasons %d = batch_jobs count %d" closes
+            (Metrics.hist_count h) (closes = Metrics.hist_count h)
+      | None -> check "server/batch_jobs missing" false);
       Server.stop srv);
   Trace.disable ();
   if !failures > 0 then begin
@@ -197,5 +214,5 @@ let () =
   end;
   Printf.printf
     "obs-gate: %d traced requests; stitched spans, 5 stage histograms at count %d, \
-     per-shard gauges consistent, flight ring populated\n"
+     per-shard gauges consistent, flight ring populated, one close reason per batch\n"
     n_requests n_requests

@@ -210,25 +210,83 @@ let test_wire_resolve () =
 (* Batcher                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let close_reason =
+  Alcotest.testable (fun ppf c -> Format.pp_print_string ppf (Batcher.close_name c)) ( = )
+
+let batch b = Option.map fst (Batcher.next_batch b)
+
+let check_batch what expected why got =
+  Alcotest.(check (option (pair (list int) close_reason))) what (Some (expected, why)) got
+
+(* [next_batch] on a thread of its own, for consumers that must block. *)
+let spawn_next b =
+  let r = Atomic.make None in
+  (Thread.create (fun () -> Atomic.set r (Some (Batcher.next_batch b))) (), r)
+
+let settle ?(within = 5.0) (th, r) =
+  let t0 = Unix.gettimeofday () in
+  let rec poll () =
+    match Atomic.get r with
+    | Some got ->
+        Thread.join th;
+        got
+    | None when Unix.gettimeofday () -. t0 > within -> Alcotest.fail "next_batch never returned"
+    | None ->
+        Thread.delay 0.001;
+        poll ()
+  in
+  poll ()
+
+let check_pending what (_, r) =
+  Thread.delay 0.02;
+  Alcotest.(check bool) what true (Atomic.get r = None)
+
+(* Hand out two batches and keep them in flight: both slots taken, so
+   what is pushed next accumulates. *)
+let hold b =
+  for _ = 1 to 2 do
+    ignore (Batcher.push b 0);
+    check_batch "held batch" [ 0 ] Batcher.Idle (Batcher.next_batch b)
+  done
+
 let test_batcher_max_batch () =
   (* deadline far away: only queue pressure can close the batch *)
   let b = Batcher.create ~max_batch:4 ~max_wait_us:10_000_000 () in
   for i = 1 to 9 do
     Alcotest.(check bool) "push" true (Batcher.push b i)
   done;
-  Alcotest.(check (option (list int))) "first four, arrival order" (Some [ 1; 2; 3; 4 ])
-    (Batcher.next_batch b);
-  Alcotest.(check (option (list int))) "next four" (Some [ 5; 6; 7; 8 ]) (Batcher.next_batch b)
+  check_batch "first four, arrival order" [ 1; 2; 3; 4 ] Batcher.Full (Batcher.next_batch b);
+  check_batch "next four" [ 5; 6; 7; 8 ] Batcher.Full (Batcher.next_batch b)
 
 let test_batcher_max_wait () =
   (* zero window: a lone item leaves immediately, no batch-mates needed *)
   let b = Batcher.create ~max_batch:64 ~max_wait_us:0 () in
   ignore (Batcher.push b 1);
-  Alcotest.(check (option (list int))) "lone item" (Some [ 1 ]) (Batcher.next_batch b)
+  Alcotest.(check (option (list int))) "lone item" (Some [ 1 ]) (batch b)
+
+let test_batcher_idle_dispatch () =
+  (* nothing in flight: a lone item does not wait out a 10 s window *)
+  let b = Batcher.create ~max_batch:64 ~max_wait_us:10_000_000 () in
+  ignore (Batcher.push b 1);
+  let t0 = Unix.gettimeofday () in
+  check_batch "lone item" [ 1 ] Batcher.Idle (Batcher.next_batch b);
+  let waited = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "returned in %.1f ms" (waited *. 1e3)) true (waited < 0.05);
+  (* one batch in flight: the second slot takes the next item at once *)
+  ignore (Batcher.push b 2);
+  check_batch "behind one in flight" [ 2 ] Batcher.Idle (Batcher.next_batch b);
+  (* a consumer blocked on the empty queue leaves with the next push *)
+  Batcher.release b;
+  let consumer = spawn_next b in
+  Thread.delay 0.01;
+  ignore (Batcher.push b 3);
+  check_batch "woken consumer" [ 3 ] Batcher.Idle (settle ~within:1.0 consumer)
 
 let test_batcher_wait_window_groups () =
-  (* items pushed within the window ride in one batch *)
+  (* items arriving while both slots are in flight ride in one batch,
+     which the window closes when neither is released *)
   let b = Batcher.create ~max_batch:64 ~max_wait_us:50_000 () in
+  hold b;
   let pusher =
     Thread.create
       (fun () ->
@@ -238,15 +296,61 @@ let test_batcher_wait_window_groups () =
         done)
       ()
   in
-  let batch = Batcher.next_batch b in
+  let got = settle (spawn_next b) in
   Thread.join pusher;
-  match batch with
+  match got with
   | None -> Alcotest.fail "no batch"
-  | Some items ->
+  | Some (items, why) ->
       Alcotest.(check bool)
         (Printf.sprintf "several grouped (got %d)" (List.length items))
         true
-        (List.length items > 1)
+        (List.length items > 1);
+      Alcotest.(check close_reason) "closed by the window" Batcher.Window why
+
+let test_batcher_release_closes () =
+  let b = Batcher.create ~max_batch:64 ~max_wait_us:10_000_000 () in
+  hold b;
+  let consumer = spawn_next b in
+  List.iter (fun i -> ignore (Batcher.push b i)) [ 1; 2; 3 ];
+  check_pending "forms while both slots are in flight" consumer;
+  Batcher.release b;
+  check_batch "grouped, closed by the release" [ 1; 2; 3 ] Batcher.Idle (settle consumer)
+
+let test_batcher_full_in_flight () =
+  let b = Batcher.create ~max_batch:3 ~max_wait_us:10_000_000 () in
+  hold b;
+  let consumer = spawn_next b in
+  List.iter (fun i -> ignore (Batcher.push b i)) [ 1; 2 ];
+  check_pending "two of three" consumer;
+  ignore (Batcher.push b 3);
+  check_batch "full without a release" [ 1; 2; 3 ] Batcher.Full (settle consumer)
+
+let test_batcher_close_in_flight () =
+  let b = Batcher.create ~max_batch:64 ~max_wait_us:10_000_000 () in
+  hold b;
+  let consumer = spawn_next b in
+  List.iter (fun i -> ignore (Batcher.push b i)) [ 1; 2 ];
+  check_pending "forming" consumer;
+  Batcher.close b;
+  check_batch "flushed by close" [ 1; 2 ] Batcher.Drain (settle consumer);
+  Alcotest.(check (option (list int))) "then None" None (batch b)
+
+let test_batcher_release_on_raise () =
+  let b = Batcher.create ~max_batch:64 ~max_wait_us:10_000_000 () in
+  hold b;
+  let consumer = spawn_next b in
+  ignore (Batcher.push b 1);
+  check_pending "forming" consumer;
+  (match
+     Fun.protect ~finally:(fun () -> Batcher.release b) (fun () -> failwith "reply failed")
+   with
+  | () -> Alcotest.fail "reply did not raise"
+  | exception Failure _ -> ());
+  check_batch "unblocked by the release" [ 1 ] Batcher.Idle (settle consumer);
+  Batcher.release b;
+  Batcher.release b;
+  Alcotest.check_raises "release with nothing in flight"
+    (Invalid_argument "Batcher.release: no batch in flight") (fun () -> Batcher.release b)
 
 let test_batcher_backpressure () =
   let b = Batcher.create ~max_pending:2 ~max_wait_us:0 () in
@@ -260,21 +364,21 @@ let test_batcher_close_drains () =
   List.iter (fun i -> ignore (Batcher.push b i)) [ 1; 2; 3 ];
   Batcher.close b;
   Alcotest.(check bool) "push after close" false (Batcher.push b 9);
-  Alcotest.(check (option (list int))) "flush 1" (Some [ 1; 2 ]) (Batcher.next_batch b);
-  Alcotest.(check (option (list int))) "flush 2" (Some [ 3 ]) (Batcher.next_batch b);
-  Alcotest.(check (option (list int))) "then None" None (Batcher.next_batch b);
-  Alcotest.(check (option (list int))) "stays None" None (Batcher.next_batch b)
+  Alcotest.(check (option (list int))) "flush 1" (Some [ 1; 2 ]) (batch b);
+  Alcotest.(check (option (list int))) "flush 2" (Some [ 3 ]) (batch b);
+  Alcotest.(check (option (list int))) "then None" None (batch b);
+  Alcotest.(check (option (list int))) "stays None" None (batch b)
 
 let test_batcher_wakes_blocked_consumer () =
   let b = Batcher.create ~max_wait_us:0 () in
   let result = ref (Some []) in
-  let consumer = Thread.create (fun () -> result := Batcher.next_batch b) () in
+  let consumer = Thread.create (fun () -> result := batch b) () in
   Thread.delay 0.02;
   ignore (Batcher.push b 42);
   Thread.join consumer;
   Alcotest.(check (option (list int))) "blocked consumer woken" (Some [ 42 ]) !result;
   (* close wakes a consumer blocked on an empty queue *)
-  let consumer = Thread.create (fun () -> result := Batcher.next_batch b) () in
+  let consumer = Thread.create (fun () -> result := batch b) () in
   Thread.delay 0.02;
   Batcher.close b;
   Thread.join consumer;
@@ -405,6 +509,30 @@ let test_loopback_timeout_and_errors () =
   match Client.align conn ~query:"ACGT" ~subject:"ACGT" () with
   | Ok r -> Alcotest.(check int) "usable after errors" 8 r.Client.score
   | Error e -> Alcotest.failf "connection lost: %s" (Client.error_to_string e)
+
+(* With a 10 s window, one request at a time must still come straight
+   back: each batch is released after its reply, so the batcher never sees
+   both slots taken. *)
+let test_loopback_lone_requests_skip_window () =
+  with_server ~cfg_update:(fun c -> { c with Server.max_wait_us = 10_000_000 })
+  @@ fun srv addr ->
+  let conn = match Client.connect addr with Ok c -> c | Error m -> Alcotest.failf "%s" m in
+  Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
+  for i = 1 to 6 do
+    let t0 = Unix.gettimeofday () in
+    (match Client.align conn ~query:"ACGT" ~subject:"ACGT" () with
+    | Ok r -> Alcotest.(check int) "score" 8 r.Client.score
+    | Error e -> Alcotest.failf "request %d: %s" i (Client.error_to_string e));
+    let waited = Unix.gettimeofday () -. t0 in
+    Alcotest.(check bool) (Printf.sprintf "request %d in %.0f ms" i (waited *. 1e3)) true
+      (waited < 1.0)
+  done;
+  let count why =
+    Option.value ~default:0
+      (Anyseq.Metrics.find (Server.metrics srv) ("server/batch_close_" ^ why))
+  in
+  Alcotest.(check int) "every batch closed idle" 6 (count "idle");
+  Alcotest.(check int) "none by the window" 0 (count "window")
 
 (* Graceful drain: everything accepted before the stop is answered. *)
 let test_loopback_drain () =
@@ -803,6 +931,11 @@ let () =
           Alcotest.test_case "max batch" `Quick test_batcher_max_batch;
           Alcotest.test_case "max wait zero" `Quick test_batcher_max_wait;
           Alcotest.test_case "window groups" `Quick test_batcher_wait_window_groups;
+          Alcotest.test_case "idle dispatch" `Quick test_batcher_idle_dispatch;
+          Alcotest.test_case "release closes" `Quick test_batcher_release_closes;
+          Alcotest.test_case "full while in flight" `Quick test_batcher_full_in_flight;
+          Alcotest.test_case "close while in flight" `Quick test_batcher_close_in_flight;
+          Alcotest.test_case "release on raise" `Quick test_batcher_release_on_raise;
           Alcotest.test_case "backpressure" `Quick test_batcher_backpressure;
           Alcotest.test_case "close drains" `Quick test_batcher_close_drains;
           Alcotest.test_case "wakes blocked consumer" `Quick test_batcher_wakes_blocked_consumer;
@@ -813,6 +946,8 @@ let () =
           Alcotest.test_case "malformed kills connection only" `Quick
             test_loopback_malformed_kills_connection_only;
           Alcotest.test_case "timeout and errors" `Quick test_loopback_timeout_and_errors;
+          Alcotest.test_case "lone requests skip the window" `Quick
+            test_loopback_lone_requests_skip_window;
           Alcotest.test_case "graceful drain" `Quick test_loopback_drain;
           Alcotest.test_case "drain under load" `Slow test_loopback_drain_under_load;
           Alcotest.test_case "drain under load, sharded" `Slow

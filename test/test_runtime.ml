@@ -654,6 +654,72 @@ let test_tier_counters_prometheus () =
   and staged = Option.value ~default:0. (value "anyseq_runtime_tier_staged") in
   Alcotest.(check (float 0.)) "non-unit batch on scalar tiers" 9. (native +. staged)
 
+(* Tier routing, one row per job shape: the exact [runtime/tier_*]
+   deltas a batch produces. Every tier counter missing from a row's
+   expectation must stay unchanged. *)
+let test_tier_routing_table () =
+  let rng = Rng.create ~seed:1818 in
+  let dna len = Sequence.to_string (Helpers.random_dna rng ~len) in
+  let q = dna 60 and s = dna 70 in
+  let long_q = dna 2000 and long_s = dna 2000 in
+  let hot = String.make 10 'A' in
+  let cfg ?(scheme = Scheme.wildcard_linear) ?(traceback = false) backend =
+    Anyseq.Config.make ~scheme ~mode:T.Global ~traceback ~backend ()
+  in
+  let unit = cfg ~scheme:Scheme.unit_cost Anyseq.Config.Auto in
+  let job ?max_dist config query subject = Service.job ~config ?max_dist ~query ~subject () in
+  let ok = Result.is_ok in
+  let overflow = function Error (Error.Overflow_bound _) -> true | _ -> false in
+  let rows =
+    Anyseq.Config.
+      [
+        ("scalar score", 1, [ job (cfg Scalar) q s ], ok, [ ("native", 1) ]);
+        ("auto score", 1, [ job (cfg Auto) q s; job (cfg Auto) s q ], ok, [ ("native", 2) ]);
+        ("unit-cost uncapped", 1, [ job unit q s ], ok, [ ("bitparallel", 1) ]);
+        ("unit-cost capped", 1, [ job ~max_dist:200 unit q s ], ok, [ ("banded", 1) ]);
+        ( "unit-cost mixed chunk", 1,
+          [ job unit q s; job ~max_dist:200 unit q s; job unit s q ],
+          ok, [ ("bitparallel", 2); ("banded", 1) ] );
+        ( "auto long affine, one domain", 1,
+          [ job (cfg ~scheme:Scheme.wildcard_affine Auto) long_q long_s ],
+          ok, [ ("native", 1) ] );
+        ( "auto long affine, two domains", 2,
+          [ job (cfg ~scheme:Scheme.wildcard_affine Auto) long_q long_s ],
+          ok, [ ("wavefront", 1) ] );
+        ("auto long unit-cost, two domains", 2, [ job unit long_q long_s ], ok,
+          [ ("bitparallel", 1) ]);
+        ("scalar traceback", 1, [ job (cfg ~traceback:true Scalar) q s ], ok, [ ("native", 1) ]);
+        ("simd traceback", 1, [ job (cfg ~traceback:true Simd) q s ], ok, [ ("staged", 1) ]);
+        ( "wavefront traceback", 1, [ job (cfg ~traceback:true Wavefront) q s ], ok,
+          [ ("staged", 1) ] );
+        ("simd score", 1, [ job (cfg Simd) q s ], ok, [ ("simd", 1) ]);
+        ("wavefront score", 2, [ job (cfg Wavefront) q s ], ok, [ ("wavefront", 1) ]);
+        ( "simd over the 16-bit bound", 1,
+          [ job (cfg ~scheme:overflow_scheme Simd) hot hot ], overflow, [] );
+      ]
+  in
+  List.iter
+    (fun (label, domains, jobs, expect, deltas) ->
+      let svc = Service.create ~domains () in
+      let counts () =
+        List.map
+          (fun n -> (n, Option.value ~default:0 (tier_count svc n)))
+          Service.tier_names
+      in
+      let before = counts () in
+      Array.iteri
+        (fun i r ->
+          if not (expect r) then
+            Alcotest.failf "%s: job %d answered %s" label i
+              (match r with Ok _ -> "ok" | Error e -> Error.to_string e))
+        (Service.run svc (Array.of_list jobs));
+      List.iter2
+        (fun (n, b) (_, a) ->
+          let want = Option.value ~default:0 (List.assoc_opt n deltas) in
+          Alcotest.(check int) (Printf.sprintf "%s: tier_%s delta" label n) want (a - b))
+        before (counts ()))
+    rows
+
 (* Remote unit-cost jobs must reach the fast tier: the wire config
    [Named "unit-cost"] survives encode/decode and resolves to the builtin
    scheme {e value} (physical equality is what the specialization cache
@@ -1124,6 +1190,7 @@ let () =
             test_banded_tier_cutoff_and_mix;
           Alcotest.test_case "tier counters in Prometheus" `Quick
             test_tier_counters_prometheus;
+          Alcotest.test_case "tier routing table" `Quick test_tier_routing_table;
           Alcotest.test_case "wire round-trip hits fast tier" `Quick
             test_wire_unit_cost_round_trip;
           Alcotest.test_case "drain gate" `Quick test_service_drain;

@@ -593,14 +593,6 @@ let run_runtime cfg =
   let service = Anyseq.Service.create ~capacity:(max 1 (Array.length spairs)) () in
   (* Per-tier dispatch counters: which engine the proof-directed dispatcher
      actually ran each batch on (delta across the timed run). *)
-  let tier_counts svc =
-    List.map
-      (fun n ->
-        ( n,
-          Option.value ~default:0
-            (Anyseq.Metrics.find (Anyseq.Service.metrics svc) ("runtime/tier_" ^ n)) ))
-      Anyseq.Service.tier_names
-  in
   let tier_delta before after =
     match
       List.filter_map
@@ -643,11 +635,11 @@ let run_runtime cfg =
       in
       let seq_words = (Gc.minor_words () -. seq_w0) /. njobs in
       let batch_w0 = Gc.minor_words () in
-      let tiers_before = tier_counts service in
+      let tiers_before = Anyseq.Service.tier_counts service in
       let batch_dt =
         Timer.time_only (fun () -> ignore (Anyseq.align_batch ~service ~config spairs))
       in
-      let tiers = tier_delta tiers_before (tier_counts service) in
+      let tiers = tier_delta tiers_before (Anyseq.Service.tier_counts service) in
       let batch_words = (Gc.minor_words () -. batch_w0) /. njobs in
       seq_total := !seq_total +. seq_dt;
       batch_total := !batch_total +. batch_dt;
@@ -710,11 +702,11 @@ let run_runtime cfg =
   let uc = Scheme.unit_cost in
   let uconfig = Anyseq.Config.make ~scheme:uc ~mode:T.Global ~traceback:false () in
   ignore (Anyseq.align_batch ~service ~config:uconfig spairs);
-  let tiers_before = tier_counts service in
+  let tiers_before = Anyseq.Service.tier_counts service in
   let bp_dt =
     Timer.time_only (fun () -> ignore (Anyseq.align_batch ~service ~config:uconfig spairs))
   in
-  let bp_tiers = tier_delta tiers_before (tier_counts service) in
+  let bp_tiers = tier_delta tiers_before (Anyseq.Service.tier_counts service) in
   let batch_scores = Anyseq.align_batch ~service ~config:uconfig spairs in
   let nk =
     match Anyseq.Native_kernel.build uc T.Global with

@@ -101,10 +101,13 @@ let long_pair_cells = 4_000_000
 let tier_names =
   [ "bitparallel"; "banded"; "banded_cutoff"; "native"; "staged"; "simd"; "wavefront" ]
 
+(* A timeout of 2^62 ns (~146 years) or more, infinity included, means no
+   deadline; the cap also keeps [now + ns] clear of Int64 overflow. *)
 let deadline_of timeout_s now =
   match timeout_s with
   | None -> Int64.max_int
   | Some s when s <= 0.0 -> Int64.min_int (* already expired, deterministically *)
+  | Some s when s *. 1e9 >= 0x1p62 -> Int64.max_int
   | Some s -> Int64.add now (Int64.of_float (s *. 1e9))
 
 let expired_at now p = Int64.compare now p.p_deadline > 0
@@ -112,18 +115,18 @@ let cells_of p = Seq.length p.p_q * Seq.length p.p_s
 
 let ctr t name = Metrics.counter t.metrics ("runtime/" ^ name)
 let hist t name = Metrics.histogram t.metrics ("runtime/" ^ name)
+let tier_counter name = "runtime/tier_" ^ name
+
+let tier_counts t =
+  List.map
+    (fun n -> (n, Option.value ~default:0 (Metrics.find t.metrics (tier_counter n))))
+    tier_names
+
+let outcome p score query_end subject_end alignment =
+  Ok { score; query_end; subject_end; alignment; query_seq = p.p_q; subject_seq = p.p_s }
 
 let score_outcome results p (e : ends) =
-  results.(p.p_idx) <-
-    Ok
-      {
-        score = e.score;
-        query_end = e.query_end;
-        subject_end = e.subject_end;
-        alignment = None;
-        query_seq = p.p_q;
-        subject_seq = p.p_s;
-      }
+  results.(p.p_idx) <- outcome p e.score e.query_end e.subject_end None
 
 let time_out t results p =
   results.(p.p_idx) <- Error Error.Timeout;
@@ -142,242 +145,231 @@ let rec split_at k l =
 let rec fits_in l k =
   match l with [] -> true | _ :: tl -> k > 0 && fits_in tl (k - 1)
 
-(* Feed [group] to [f] in [batch_size] chunks, each running inside one
-   workspace checkout — a warmed pool makes the whole chunk allocation-free
-   in the kernels. The deadline check happens once per chunk, right before
-   dispatch — the documented granularity — against a single clock read. [f]
-   must fill [results] for every prepared job it is given.
+(* ---- execution tiers ---- *)
 
-   Shard dispatch already delivers groups of at most [batch_size] jobs, so
-   the common shapes pay no list copies: a group that fits one chunk is
-   dispatched as-is (no [split_at] spine rebuild), and the live/dead
-   partition runs only when a deadline actually expired — both on the
-   minor-words-per-alignment budget the alloc gate enforces. *)
-let dispatch_chunks t results group f =
-  let rec go = function
-    | [] -> ()
-    | rest ->
-        let chunk, rest =
-          if fits_in rest t.batch_size then (rest, []) else split_at t.batch_size rest
-        in
-        let now = Timer.now_ns () in
-        let live, dead =
-          if List.exists (expired_at now) chunk then
-            List.partition (fun p -> not (expired_at now p)) chunk
-          else (chunk, [])
-        in
-        List.iter (time_out t results) dead;
-        (if live <> [] then begin
-           let cells = List.fold_left (fun acc p -> acc + cells_of p) 0 live in
-           let frame =
-             Trace.start "service.chunk"
-               ~attrs:[ ("jobs", Trace.Int (List.length live)); ("cells", Trace.Int cells) ]
-           in
-           let t0 = Timer.now_ns () in
-           Fun.protect
-             ~finally:(fun () -> Trace.finish frame)
-             (fun () -> Workspace.with_ws (fun ws -> f ws live));
-           Metrics.incr (ctr t "batches_dispatched");
-           Metrics.observe (hist t "batch_jobs") (List.length live);
-           Metrics.observe (hist t "batch_us") (Timer.elapsed_us t0);
-           Metrics.add (ctr t "cells_computed") cells;
-           Metrics.add (ctr t "jobs_completed") (List.length live)
-         end);
-        go rest
-  in
-  go group
+(* What a tier sees of the chunk whose bucket it runs. [e_kernels] is the
+   executing shard's cache entry, forced only where a residual is needed. *)
+type env = {
+  e_svc : t;
+  e_cfg : Config.t;
+  e_kernels : Spec_cache.kernels Lazy.t;
+  e_results : (outcome, Error.t) result array;
+  e_ws : Anyseq_core.Scratch.t;
+}
 
-(* Traceback tier: per-job dispatch (deadlines are per alignment), one
-   workspace checkout for the whole group. Scalar/Auto groups run the
-   pre-generated native traceback residual when the cache replica has
-   one; everything else (and configurations outside the pre-generated
-   set) takes the generic engine — bit-identical either way. *)
-let run_traceback t cache results (cfg : Config.t) group =
-  let tier, align =
-    match cfg.backend with
-    | Config.Scalar | Config.Auto -> (
-        let kernels = Spec_cache.get cache cfg.scheme cfg.mode in
-        match kernels.Spec_cache.native with
-        | Some nk ->
-            ( "tier_native",
-              fun ~ws ~query ~subject -> nk.Native_kernel.align ~ws ~query ~subject )
-        | None ->
-            ( "tier_staged",
-              fun ~ws ~query ~subject -> Engine.align ~ws cfg.scheme cfg.mode ~query ~subject ))
-    | Config.Simd | Config.Wavefront ->
-        ( "tier_staged",
-          fun ~ws ~query ~subject -> Engine.align ~ws cfg.scheme cfg.mode ~query ~subject )
-  in
-  Workspace.with_ws (fun ws ->
-      List.iter
-        (fun p ->
-          if expired_at (Timer.now_ns ()) p then time_out t results p
-          else begin
-            Metrics.incr (ctr t tier);
-            let t0 = Timer.now_ns () in
-            let a =
-              Trace.with_span "backend.traceback"
-                ~attrs:[ ("cells", Trace.Int (cells_of p)) ]
-                (fun () -> align ~ws ~query:p.p_q ~subject:p.p_s)
-            in
-            Metrics.observe (hist t "align_us") (Timer.elapsed_us t0);
-            Metrics.add (ctr t "cells_computed") (cells_of p);
-            Metrics.incr (ctr t "jobs_completed");
-            results.(p.p_idx) <-
-              Ok
-                {
-                  score = a.Alignment.score;
-                  query_end = a.Alignment.query_end;
-                  subject_end = a.Alignment.subject_end;
-                  alignment = Some a;
-                  query_seq = p.p_q;
-                  subject_seq = p.p_s;
-                }
-          end)
-        group)
+type tier = {
+  name : string;  (** counts its jobs under [runtime/tier_<name>] *)
+  span : string;  (** the [backend.*] span around each bucket *)
+  run : env -> prepared list -> int;
+      (** fills every slot of the bucket; returns the jobs it computed *)
+}
 
-(* Scalar tier: proof-directed selection per chunk. A configuration whose
-   cache entry carries a bit-parallel kernel — populated only under a
-   Unit_cost certificate — runs Myers edit distance with the certified
-   score conversion; everything else runs the cached pre-generated
-   residual, falling back to the generic linear-space engine. All three
-   are bit-identical on scores and ends. The replica is consulted at every
-   dispatch point (once per chunk), so hit/miss counts measure how often
-   execution was served without re-specializing. *)
-let run_scalar t cache results (cfg : Config.t) group =
-  dispatch_chunks t results group (fun ws live ->
-      let kernels = Spec_cache.get cache cfg.scheme cfg.mode in
-      match kernels.Spec_cache.bitparallel with
-      | Some bp ->
-          let scale = bp.Bitparallel.bp_cert.Anyseq_analysis.Property.uc_scale in
-          let full live =
-            Metrics.add (ctr t "tier_bitparallel") (List.length live);
-            Trace.with_span "backend.myers"
-              ~attrs:[ ("jobs", Trace.Int (List.length live)); ("scale", Trace.Int scale) ]
-              (fun () ->
-                List.iter
-                  (fun p ->
-                    score_outcome results p
-                      (bp.Bitparallel.bp_score ~ws ~query:p.p_q ~subject:p.p_s))
-                  live)
-          in
-          let banded capped =
-            Metrics.add (ctr t "tier_banded") (List.length capped);
-            Trace.with_span "backend.myers_banded"
-              ~attrs:[ ("jobs", Trace.Int (List.length capped)); ("scale", Trace.Int scale) ]
-              (fun () ->
-                List.iter
-                  (fun p ->
-                    match p.p_max_dist with
-                    | None -> assert false
-                    | Some k -> (
-                        match
-                          bp.Bitparallel.bp_score_upto ~ws ~max_dist:k ~query:p.p_q
-                            ~subject:p.p_s
-                        with
-                        | Some e -> score_outcome results p e
-                        | None ->
-                            results.(p.p_idx) <- Error Error.Cutoff;
-                            Metrics.incr (ctr t "tier_banded_cutoff")))
-                  capped)
-          in
-          (* the uncapped-only check first: the common batch shapes (all
-             capped, or none) never pay the partition's list rebuild *)
-          if not (List.exists (fun p -> p.p_max_dist <> None) live) then full live
-          else if List.for_all (fun p -> p.p_max_dist <> None) live then banded live
-          else begin
-            let capped, uncapped = List.partition (fun p -> p.p_max_dist <> None) live in
-            full uncapped;
-            banded capped
-          end
-      | None ->
-          let native, score =
-            match kernels.Spec_cache.native with
-            | Some nk ->
-                (true, fun p -> nk.Native_kernel.score ~ws ~query:p.p_q ~subject:p.p_s)
-            | None ->
-                (* Configurations outside the pre-generated set fall back to the
-                   generic linear-space engine (bit-identical results). *)
-                ( false,
-                  fun p ->
-                    Dp_linear.score_only ~ws cfg.scheme cfg.mode ~query:(Seq.view p.p_q)
-                      ~subject:(Seq.view p.p_s) )
-          in
-          Metrics.add
-            (ctr t (if native then "tier_native" else "tier_staged"))
-            (List.length live);
-          Trace.with_span "backend.scalar"
-            ~attrs:
-              [ ("jobs", Trace.Int (List.length live)); ("native", Trace.Str (string_of_bool native)) ]
-            (fun () -> List.iter (fun p -> score_outcome results p (score p)) live))
+let score_each e score jobs =
+  List.iter
+    (fun p -> score_outcome e.e_results p (score ~ws:e.e_ws ~query:p.p_q ~subject:p.p_s))
+    jobs;
+  List.length jobs
 
-(* SIMD tier: 16-bit overflow screening, then lockstep vector batches. *)
-let run_simd t results (cfg : Config.t) group =
-  let feasible =
-    List.filter
+let score_pairs e score_many jobs =
+  let ends = score_many (Array.of_list (List.map (fun p -> (p.p_q, p.p_s)) jobs)) in
+  List.iteri (fun i p -> score_outcome e.e_results p ends.(i)) jobs;
+  Array.length ends
+
+(* Traceback checks each deadline again before aligning (one alignment
+   can outlast another job's deadline), so it may compute fewer jobs
+   than it was given. *)
+let align_each e align jobs =
+  List.fold_left
+    (fun n p ->
+      if expired_at (Timer.now_ns ()) p then begin
+        time_out e.e_svc e.e_results p;
+        n
+      end
+      else begin
+        let t0 = Timer.now_ns () in
+        let a = align ~ws:e.e_ws ~query:p.p_q ~subject:p.p_s in
+        Metrics.observe (hist e.e_svc "align_us") (Timer.elapsed_us t0);
+        e.e_results.(p.p_idx) <-
+          outcome p a.Alignment.score a.Alignment.query_end a.Alignment.subject_end (Some a);
+        n + 1
+      end)
+    0 jobs
+
+(* [select] routes a job here only when the cache entry carries one. *)
+let myers e = Option.get (Lazy.force e.e_kernels).Spec_cache.bitparallel
+
+(* Myers edit distance with the certificate's score conversion. *)
+let bitparallel =
+  let run e = score_each e (myers e).Bitparallel.bp_score in
+  { name = "bitparallel"; span = "backend.myers"; run }
+
+(* Banded Myers under each job's [max_dist] cap: a cap the kernel proves
+   exceeded answers [Error Cutoff] and counts as [banded_cutoff]. *)
+let banded =
+  let run e jobs =
+    let bp = myers e in
+    List.iter
       (fun p ->
-        let rows = Seq.length p.p_q and cols = Seq.length p.p_s in
-        (* Empty pairs have no DP block, hence nothing that can overflow. *)
-        if rows = 0 || cols = 0 || Bounds.fits cfg.scheme ~rows ~cols ~bits:16 then true
-        else begin
-          results.(p.p_idx) <-
-            Error
-              (Error.Overflow_bound
-                 (Printf.sprintf
-                    "%d x %d pair exceeds the 16-bit differential-score range of the vector \
-                     kernels"
-                    rows cols));
-          Metrics.incr (ctr t "jobs_failed");
-          false
-        end)
-      group
+        let max_dist = Option.get p.p_max_dist in
+        match bp.Bitparallel.bp_score_upto ~ws:e.e_ws ~max_dist ~query:p.p_q ~subject:p.p_s with
+        | Some ends -> score_outcome e.e_results p ends
+        | None ->
+            e.e_results.(p.p_idx) <- Error Error.Cutoff;
+            Metrics.incr (Metrics.counter e.e_svc.metrics (tier_counter "banded_cutoff")))
+      jobs;
+    List.length jobs
   in
-  dispatch_chunks t results feasible (fun ws live ->
-      let pairs = Array.of_list (List.map (fun p -> (p.p_q, p.p_s)) live) in
-      Metrics.add (ctr t "tier_simd") (List.length live);
-      let ends =
-        Trace.with_span "backend.simd"
-          ~attrs:[ ("jobs", Trace.Int (Array.length pairs)) ]
-          (fun () -> Inter_seq.batch_score ~ws cfg.scheme cfg.mode pairs)
-      in
-      List.iteri (fun i p -> score_outcome results p ends.(i)) live)
+  { name = "banded"; span = "backend.myers_banded"; run }
 
-(* Wavefront tier: tiles of all pairs of the chunk share one dynamic
-   queue. The scheduler's worker domains manage their own buffers, so the
-   chunk's workspace is not threaded in. *)
-let run_wavefront t results (cfg : Config.t) group =
-  dispatch_chunks t results group (fun _ws live ->
-      let pairs = Array.of_list (List.map (fun p -> (p.p_q, p.p_s)) live) in
-      Metrics.add (ctr t "tier_wavefront") (List.length live);
-      let ends =
-        Trace.with_span "backend.wavefront"
-          ~attrs:[ ("jobs", Trace.Int (Array.length pairs)); ("domains", Trace.Int t.domains) ]
-          (fun () -> Scheduler.score_many ~domains:t.domains cfg.scheme cfg.mode pairs)
-      in
-      List.iteri (fun i p -> score_outcome results p ends.(i)) live)
+(* The cached pre-generated residual. *)
+let native =
+  let run e =
+    let nk = Option.get (Lazy.force e.e_kernels).Spec_cache.native in
+    if e.e_cfg.traceback then align_each e nk.Native_kernel.align
+    else score_each e nk.Native_kernel.score
+  in
+  { name = "native"; span = "backend.native"; run }
 
-let run_group t cache results (cfg : Config.t) group =
-  if cfg.traceback then run_traceback t cache results cfg group
-  else
-    match cfg.backend with
-    | Config.Scalar -> run_scalar t cache results cfg group
-    | Config.Simd -> run_simd t results cfg group
-    | Config.Wavefront -> run_wavefront t results cfg group
-    | Config.Auto ->
-        (* Short pairs take the cached residual; a pair worth tiling only
-           escalates when there is real parallelism to win — unless the
-           configuration is certified unit-cost, where the bit-parallel
-           kernel's ~62 cells per word op beats wavefront parallelism at
-           any realistic domain count, so the whole group stays scalar. *)
-        let kernels = Spec_cache.get cache cfg.scheme cfg.mode in
-        if kernels.Spec_cache.bitparallel <> None then run_scalar t cache results cfg group
-        else begin
-          let long, short =
-            List.partition (fun p -> t.domains > 1 && cells_of p >= long_pair_cells) group
+(* The generic engines, bit-identical to the residuals. *)
+let staged =
+  let run e =
+    let { Config.scheme; mode; traceback; _ } = e.e_cfg in
+    if traceback then
+      align_each e (fun ~ws ~query ~subject -> Engine.align ~ws scheme mode ~query ~subject)
+    else
+      score_each e (fun ~ws ~query ~subject ->
+          Dp_linear.score_only ~ws scheme mode ~query:(Seq.view query) ~subject:(Seq.view subject))
+  in
+  { name = "staged"; span = "backend.staged"; run }
+
+(* Lockstep 16-bit vector batches of pairs [refusal] has screened. *)
+let simd =
+  let run e = score_pairs e (Inter_seq.batch_score ~ws:e.e_ws e.e_cfg.scheme e.e_cfg.mode) in
+  { name = "simd"; span = "backend.simd"; run }
+
+(* Tiles of every pair share one dynamic queue. The scheduler's worker
+   domains keep their own buffers, so the chunk's workspace is unused. *)
+let wavefront =
+  let run e =
+    score_pairs e (Scheduler.score_many ~domains:e.e_svc.domains e.e_cfg.scheme e.e_cfg.mode)
+  in
+  { name = "wavefront"; span = "backend.wavefront"; run }
+
+(* A mixed chunk runs its buckets in this order. *)
+let tiers = [ bitparallel; banded; native; staged; simd; wavefront ]
+
+(* The whole routing policy for one job. Traceback takes the native
+   residual under Scalar/Auto when there is one. A score job follows an
+   explicit Simd or Wavefront hint. Otherwise a Unit_cost certificate (a
+   bit-parallel kernel in the cache entry) picks Myers, banded for a
+   capped job, at any pair size: ~62 cells per word op beats wavefront
+   parallelism at any realistic domain count. Auto escalates other pairs
+   of [long_pair_cells] or more only when there are domains to win. *)
+let select t kernels (cfg : Config.t) p =
+  match cfg.backend with
+  | (Config.Simd | Config.Wavefront) when cfg.traceback -> staged
+  | Config.Simd -> simd
+  | Config.Wavefront -> wavefront
+  | Config.Scalar | Config.Auto ->
+      let k = Lazy.force kernels in
+      if k.Spec_cache.bitparallel <> None && not cfg.traceback then
+        if p.p_max_dist = None then bitparallel else banded
+      else if
+        cfg.backend = Config.Auto && (not cfg.traceback) && t.domains > 1
+        && cells_of p >= long_pair_cells
+      then wavefront
+      else if k.Spec_cache.native <> None then native
+      else staged
+
+(* An explicit Simd hint is a contract: a score job whose range fails the
+   16-bit bound is refused rather than silently de-vectorized. Empty
+   pairs have no DP block, hence nothing that can overflow. *)
+let refusal (cfg : Config.t) p =
+  match cfg.backend with
+  | Config.Simd when not cfg.traceback ->
+      let rows = Seq.length p.p_q and cols = Seq.length p.p_s in
+      if rows = 0 || cols = 0 || Bounds.fits cfg.scheme ~rows ~cols ~bits:16 then None
+      else
+        Some
+          (Error.Overflow_bound
+             (Printf.sprintf
+                "%d x %d pair exceeds the 16-bit differential-score range of the vector kernels"
+                rows cols))
+  | _ -> None
+
+let run_bucket e tier jobs =
+  let n =
+    Trace.with_span tier.span
+      ~attrs:[ ("jobs", Trace.Int (List.length jobs)) ]
+      (fun () -> tier.run e jobs)
+  in
+  Metrics.add (Metrics.counter e.e_svc.metrics (tier_counter tier.name)) n;
+  n
+
+(* Run one chunk. Refusals and expired deadlines are settled first,
+   against one clock read (the documented deadline granularity); the
+   filter copies the list only when some job is settled. The rest is
+   bucketed by [select]: a chunk whose jobs all pick one tier runs as-is,
+   a mixed one as one bucket per tier, in table order. All buckets share
+   one workspace checkout, so a warmed pool keeps the kernels
+   allocation-free, and the spec-cache replica is consulted at most
+   once. *)
+let run_chunk t cache results (cfg : Config.t) jobs =
+  let now = Timer.now_ns () in
+  let settle p =
+    match refusal cfg p with
+    | Some err ->
+        results.(p.p_idx) <- Error err;
+        Metrics.incr (ctr t "jobs_failed");
+        false
+    | None when expired_at now p ->
+        time_out t results p;
+        false
+    | None -> true
+  in
+  let live =
+    if List.for_all (fun p -> refusal cfg p = None && not (expired_at now p)) jobs then jobs
+    else List.filter settle jobs
+  in
+  match live with
+  | [] -> ()
+  | p0 :: _ ->
+      let kernels = lazy (Spec_cache.get cache cfg.scheme cfg.mode) in
+      let pick tier p = select t kernels cfg p == tier in
+      let first = select t kernels cfg p0 in
+      let frame = Trace.start "service.chunk" in
+      let t0 = Timer.now_ns () in
+      Fun.protect
+        ~finally:(fun () -> Trace.finish frame)
+        (fun () ->
+          let jobs =
+            Workspace.with_ws (fun ws ->
+                let e =
+                  { e_svc = t; e_cfg = cfg; e_kernels = kernels; e_results = results; e_ws = ws }
+                in
+                if List.for_all (pick first) live then run_bucket e first live
+                else
+                  List.fold_left
+                    (fun n tier ->
+                      match List.filter (pick tier) live with
+                      | [] -> n
+                      | bucket -> n + run_bucket e tier bucket)
+                    0 tiers)
           in
-          if short <> [] then run_scalar t cache results cfg short;
-          if long <> [] then run_wavefront t results cfg long
-        end
+          (* a job traceback found expired was not computed *)
+          let cells =
+            List.fold_left
+              (fun acc p ->
+                match results.(p.p_idx) with Error Error.Timeout -> acc | _ -> acc + cells_of p)
+              0 live
+          in
+          Trace.add frame "jobs" (Trace.Int jobs);
+          Trace.add frame "cells" (Trace.Int cells);
+          Metrics.incr (ctr t "batches_dispatched");
+          Metrics.observe (hist t "batch_jobs") jobs;
+          Metrics.observe (hist t "batch_us") (Timer.elapsed_us t0);
+          Metrics.add (ctr t "cells_computed") cells;
+          Metrics.add (ctr t "jobs_completed") jobs)
 
 (* ---- aggregate views over the shard replicas ---- *)
 
@@ -510,7 +502,7 @@ let exec_chunk t ~executor ~home ck =
            ("config", Trace.Str (Config.to_string ck.ck_cfg));
          ]
          @ ck.ck_attrs)
-       (fun () -> run_group t t.caches.(executor) tk.tk_results ck.ck_cfg ck.ck_jobs)
+       (fun () -> run_chunk t t.caches.(executor) tk.tk_results ck.ck_cfg ck.ck_jobs)
    with e ->
      Mutex.lock tk.tk_mutex;
      if tk.tk_exn = None then tk.tk_exn <- Some e;

@@ -26,21 +26,27 @@
     no domains are spawned — the awaiting caller executes the chunks
     itself, which keeps shards=1 on the exact pre-shard hot path.
 
-    {b Tiers} (unchanged by sharding, now per-shard): traceback jobs go
-    one-by-one through the pre-generated native traceback residuals or
-    {!Anyseq_core.Engine.align}; [Simd] score jobs are screened with the
-    16-bit overflow analysis of {!Anyseq_scoring.Bounds} and streamed
-    through {!Anyseq_simd.Inter_seq.batch_score}; [Wavefront] score jobs
-    run through {!Anyseq_wavefront.Scheduler.score_many}; [Scalar] and
-    [Auto] score jobs use the executing shard's cached residual kernels
-    ({!Spec_cache.get}) — bit-parallel under a unit-cost certificate
-    (the {e banded} bit-parallel kernel when the job carries a
-    [max_dist] cap), native otherwise. [Auto] escalates a pair to the wavefront tier only
-    when it is at least {!long_pair_cells} cells {e and} more than one
-    domain is configured.
+    {b Tiers.} Each chunk runs on its executing shard. Its jobs are
+    routed one by one by a single policy function, [select], over a
+    fixed table of tiers: [bitparallel] (Myers edit distance),
+    [banded] (Myers under the job's [max_dist] cap), [native] (the
+    cached pre-generated residual, {!Spec_cache.get}), [staged] (the
+    generic engines), [simd] ({!Anyseq_simd.Inter_seq.batch_score})
+    and [wavefront] ({!Anyseq_wavefront.Scheduler.score_many}).
+    [select] sends traceback jobs to [native] under [Scalar]/[Auto]
+    when the configuration has a residual, else to [staged]. Score jobs
+    follow an explicit [Simd] or [Wavefront] hint. Otherwise a
+    [Unit_cost] certificate picks [bitparallel], or [banded] for a
+    capped job, at any pair size. [Auto] escalates an uncertified pair
+    to [wavefront] only when it is at least {!long_pair_cells} cells
+    {e and} more than one domain is configured. Everything else runs
+    [native], or [staged] outside the pre-generated set. [Simd] score
+    jobs that fail the 16-bit overflow analysis of
+    {!Anyseq_scoring.Bounds} are refused with [Overflow_bound] before
+    routing. A chunk runs its buckets in table order.
 
-    Per-job deadlines ([timeout_s]) are checked at every dispatch point;
-    an expired job is answered [Error Timeout] without being computed.
+    Per-job deadlines ([timeout_s]) are checked once per chunk, before
+    routing, and again before each traceback alignment; an expired job is answered [Error Timeout] without being computed.
     Every chunk runs inside one {!Workspace} checkout on its executing
     domain, so a warmed service aligns without per-job DP allocations —
     per shard, which the shard gate enforces. An exception thrown by a
@@ -232,6 +238,9 @@ val long_pair_cells : int
 val tier_names : string list
 (** Every execution tier, in the order dashboards list them. Tier [n]
     counts its jobs under the [runtime/tier_n] counter. *)
+
+val tier_counts : t -> (string * int) list
+(** Each of {!tier_names} with its job count so far, in that order. *)
 
 val default : unit -> t
 (** Lazily-created shared service, used by [Anyseq.align_batch]. *)

@@ -634,10 +634,10 @@ let statusz_json t =
     cs.Anyseq_runtime.Spec_cache.capacity;
   Buffer.add_string b "\"tiers\":{";
   List.iteri
-    (fun i tier ->
+    (fun i (tier, n) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\":%d" tier (c ("runtime/tier_" ^ tier)))
-    Service.tier_names;
+      Printf.bprintf b "\"%s\":%d" tier n)
+    (Service.tier_counts t.srv);
   Buffer.add_string b "},";
   Buffer.add_string b "\"stages\":{";
   List.iteri

@@ -329,12 +329,16 @@ let test_service_timeout () =
       Service.job ~config:score_config ~timeout_s:0.0 ~query:"ACGT" ~subject:"ACGT" ();
       Service.job ~config:Anyseq.Config.default ~timeout_s:0.0 ~query:"ACGT" ~subject:"ACGT" ();
       Service.job ~config:score_config ~query:"ACGT" ~subject:"ACGT" ();
+      (* past Int64 nanoseconds: no deadline, not an expired one *)
+      Service.job ~config:score_config ~timeout_s:1e10 ~query:"ACGT" ~subject:"ACGT" ();
+      Service.job ~config:Anyseq.Config.default ~timeout_s:infinity ~query:"ACGT" ~subject:"ACGT"
+        ();
     |]
   in
   (match Service.run svc jobs with
-  | [| Error Error.Timeout; Error Error.Timeout; Ok _ |] -> ()
+  | [| Error Error.Timeout; Error Error.Timeout; Ok _; Ok _; Ok _ |] -> ()
   | r ->
-      Alcotest.failf "expected [timeout; timeout; ok], got [%s]"
+      Alcotest.failf "expected [timeout; timeout; ok; ok; ok], got [%s]"
         (String.concat "; "
            (Array.to_list
               (Array.map
@@ -346,7 +350,7 @@ let test_service_timeout () =
   (* a job whose deadline passed never ran, so no tier counts it — the
      timed-out traceback job included *)
   let count name = Option.value ~default:0 (Metrics.find m name) in
-  Alcotest.(check int) "only the job that ran counts on a tier" 1
+  Alcotest.(check int) "only the jobs that ran count on a tier" 3
     (count "runtime/tier_native" + count "runtime/tier_staged")
 
 let test_service_bad_sequence () =

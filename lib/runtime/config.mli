@@ -8,7 +8,11 @@
     kernel, which is what makes batching profitable. *)
 
 type backend =
-  | Auto  (** executor picks per job: wavefront for huge pairs, scalar residual otherwise *)
+  | Auto
+      (** executor picks per job: wavefront for huge score-only pairs
+          when more than one domain is configured and the configuration
+          has no [Unit_cost] certificate; otherwise the scalar residual,
+          or bit-parallel Myers under that certificate *)
   | Scalar  (** cached residual kernel / scalar engine *)
   | Simd
       (** {!Anyseq_simd.Inter_seq} lockstep batches. Jobs whose score range

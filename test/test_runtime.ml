@@ -705,12 +705,7 @@ let test_tier_routing_table () =
   List.iter
     (fun (label, domains, jobs, expect, deltas) ->
       let svc = Service.create ~domains () in
-      let counts () =
-        List.map
-          (fun n -> (n, Option.value ~default:0 (tier_count svc n)))
-          Service.tier_names
-      in
-      let before = counts () in
+      let before = Service.tier_counts svc in
       Array.iteri
         (fun i r ->
           if not (expect r) then
@@ -721,7 +716,7 @@ let test_tier_routing_table () =
         (fun (n, b) (_, a) ->
           let want = Option.value ~default:0 (List.assoc_opt n deltas) in
           Alcotest.(check int) (Printf.sprintf "%s: tier_%s delta" label n) want (a - b))
-        before (counts ()))
+        before (Service.tier_counts svc))
     rows
 
 (* Remote unit-cost jobs must reach the fast tier: the wire config

@@ -6,7 +6,10 @@
      dune exec bench/main.exe -- --only fig6   # one artifact
      dune exec bench/main.exe -- --scale 0.5 --reads 10000
      dune exec bench/main.exe -- --bechamel    # micro-suite as well
-     dune exec bench/main.exe -- --only runtime --json BENCH_5.json *)
+
+   Service, server and network performance is measured by the ledger
+   (ledger/README.md), which repeats each run and reports its spread;
+   tracing overhead by `dune build @trace-overhead`. *)
 
 open Cmdliner
 
@@ -19,13 +22,10 @@ let experiments =
     ("table2", "Table II: energy efficiency");
     ("codeshare", "Code-share breakdown");
     ("ablation", "Ablations A1-A4");
-    ("runtime", "Runtime service: batch executor vs one-at-a-time facade");
-    ("trace", "Tracing overhead: span collection off vs on");
-    ("server", "Network server: loopback load, continuous batching, latency percentiles");
-    ("network", "Similarity network: minimizer prefilter, streaming alignment, clustering");
+    ("shards", "Shard imbalance: static vs work-stealing placement (modeled, DES)");
   ]
 
-let run only scale reads seed bechamel json =
+let run only scale reads seed bechamel =
   let cfg = { Workloads.scale; read_count = reads; seed } in
   let wanted name = match only with None -> true | Some o -> o = name in
   let section name title f =
@@ -51,19 +51,11 @@ let run only scale reads seed bechamel json =
   section "table2" "Table II" (fun () -> Experiments.run_table2 cfg);
   section "codeshare" "Code share" (fun () -> Experiments.run_codeshare ());
   section "ablation" "Ablations" (fun () -> Experiments.run_ablation cfg);
-  section "runtime" "Runtime service" (fun () -> Experiments.run_runtime cfg);
-  section "trace" "Tracing overhead" (fun () -> Experiments.run_trace cfg);
-  section "server" "Network server" (fun () -> Experiments.run_server cfg);
-  section "network" "Similarity network" (fun () -> Experiments.run_network cfg);
+  section "shards" "Shard imbalance (modeled)" (fun () -> Experiments.run_shards ());
   if bechamel then begin
     Printf.printf "\n================================================================\n";
     Bechamel_suite.run cfg
-  end;
-  match json with
-  | None -> ()
-  | Some file ->
-      Experiments.write_json file;
-      Printf.printf "\nheadline numbers written to %s\n" file
+  end
 
 let only_t =
   Arg.(value & opt (some string) None & info [ "only" ] ~doc:"Run a single experiment.")
@@ -87,17 +79,8 @@ let seed_t =
 let bechamel_t =
   Arg.(value & flag & info [ "bechamel" ] ~doc:"Also run the Bechamel micro-suite.")
 
-let json_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Write the headline numbers of the executed experiments (GCUPS, req/s, minor \
-           words/alignment) to $(docv) as one flat JSON object.")
-
 let () =
   let info = Cmd.info "anyseq-bench" ~doc:"Regenerate the paper's tables and figures." in
   exit
     (Cmd.eval
-       (Cmd.v info Term.(const run $ only_t $ scale_t $ reads_t $ seed_t $ bechamel_t $ json_t)))
+       (Cmd.v info Term.(const run $ only_t $ scale_t $ reads_t $ seed_t $ bechamel_t)))

@@ -5,7 +5,7 @@
      generate        synthesize a benchmark genome pair as FASTA
      simulate-reads  simulate an Illumina-like read set as FASTQ
      batch           run an alignment job file through the runtime service
-     serve           network alignment server (--listen) or sustained-load loop
+     serve           network alignment server (--listen)
      client          connect to a running server and submit alignments
      trace           traced workload -> span-tree profile / Chrome trace
      search          approximate pattern matching (Myers bit-parallel)
@@ -19,7 +19,8 @@
 open Cmdliner
 
 (* Exit codes (documented in README "Serving"). 0 success, 1 generic
-   failure, 2 cmdliner usage error; alignment-level failures get distinct
+   failure, 124 cmdliner usage error (unknown option, missing required
+   option, bad value); alignment-level failures get distinct
    codes so scripts can tell backpressure from bad input:
      3  invalid configuration / bad request
      4  input sequence rejected by the alphabet
@@ -312,8 +313,8 @@ let read_seqs path =
   | Ok seqs -> List.map Anyseq.Sequence.to_string seqs
 
 (* (query, subject) string pairs for a service run: either real job files
-   or the Fig. 5b simulated short-read workload. *)
-let load_pairs ~reads ~subjects ~count ~seed ~read_len =
+   or the Fig. 5b simulated short-read workload (150-bp reads). *)
+let load_pairs ~reads ~subjects ~count ~seed =
   match (reads, subjects) with
   | Some rf, Some sf ->
       let rs = Array.of_list (read_seqs rf) in
@@ -342,7 +343,7 @@ let load_pairs ~reads ~subjects ~count ~seed ~read_len =
   | None, None ->
       Array.map
         (fun (q, s) -> (Anyseq.Sequence.to_string q, Anyseq.Sequence.to_string s))
-        (Anyseq.Read_sim.read_pairs ~seed ~reference_len:200_000 ~read_len ~count)
+        (Anyseq.Read_sim.read_pairs ~seed ~reference_len:200_000 ~read_len:150 ~count)
 
 let reads_t =
   Arg.(
@@ -391,7 +392,7 @@ let batch_cmd =
       timeout batch_size match_ mismatch gap_open gap_extend =
     let scheme = scheme_of ~match_ ~mismatch ~gap_open ~gap_extend ~alphabet:`Dna5 in
     let config = Anyseq.Config.make ~scheme ~mode ~traceback ~backend () in
-    let pairs = load_pairs ~reads ~subjects ~count ~seed ~read_len:150 in
+    let pairs = load_pairs ~reads ~subjects ~count ~seed in
     let service =
       Anyseq.Service.create ~capacity:(max 1 (Array.length pairs)) ~batch_size ()
     in
@@ -452,10 +453,9 @@ let batch_cmd =
 
 (* serve --listen: the network server. Binds the given addresses, serves
    wire frames through one shared service, and drains gracefully on
-   SIGTERM/SIGINT. Without --listen, serve falls back to the historical
-   in-process sustained-load loop. *)
-let serve_network ~listen ~admin ~max_batch ~max_wait_us ~max_pending ~dispatch_workers
-    ~shards ~capacity ~batch_size ~metrics_flag ~metrics_format =
+   SIGTERM/SIGINT. *)
+let serve_network listen admin max_batch max_wait_us max_pending shards capacity batch_size
+    metrics_flag metrics_format =
   let parse_addr what s =
     match Anyseq.Addr.parse s with
     | Ok a -> a
@@ -470,7 +470,7 @@ let serve_network ~listen ~admin ~max_batch ~max_wait_us ~max_pending ~dispatch_
   let service = Anyseq.Service.create ?capacity ~batch_size ~shards () in
   let cfg =
     { (Anyseq.Server.default_config ~addrs ?admin ()) with max_batch; max_wait_us;
-      max_pending; dispatch_workers; shards }
+      max_pending; shards }
   in
   match Anyseq.Server.start ~service cfg with
   | Error msg ->
@@ -514,13 +514,12 @@ let serve_network ~listen ~admin ~max_batch ~max_wait_us ~max_pending ~dispatch_
 let serve_cmd =
   let listen_t =
     Arg.(
-      value
+      non_empty
       & opt_all string []
       & info [ "listen" ] ~docv:"ADDR"
           ~doc:
-            "Serve the network protocol on $(docv) (repeatable): $(b,unix:PATH), \
-             $(b,tcp:HOST:PORT), or $(b,HOST:PORT). Without --listen, serve runs the \
-             in-process sustained-load loop instead.")
+            "Serve the network protocol on $(docv) (required, repeatable): $(b,unix:PATH), \
+             $(b,tcp:HOST:PORT), or $(b,HOST:PORT).")
   in
   let admin_t =
     Arg.(
@@ -549,102 +548,30 @@ let serve_cmd =
       value & opt int 8192
       & info [ "max-pending" ] ~doc:"Request queue bound; beyond it requests are rejected.")
   in
-  let dispatch_workers_t =
-    Arg.(value & opt int 1 & info [ "dispatch-workers" ] ~doc:"Concurrent dispatch loops.")
-  in
   let shards_t =
     Arg.(
       value & opt int 1
       & info [ "shards" ]
           ~doc:
             "Service shards (worker domains) executing batches; 0 = one per recommended \
-             domain (--listen mode).")
+             domain.")
   in
   let capacity_t =
     Arg.(
       value
       & opt (some int) None
-      & info [ "capacity" ] ~doc:"Runtime service admission capacity (--listen mode).")
-  in
-  let rounds_t = Arg.(value & opt int 5 & info [ "rounds" ] ~doc:"Load rounds to run.") in
-  let count_t = Arg.(value & opt int 2000 & info [ "count" ] ~doc:"Jobs per round per mode.") in
-  let read_len_t = Arg.(value & opt int 150 & info [ "read-length" ] ~doc:"Read length.") in
-  let seed_t = Arg.(value & opt int 17 & info [ "seed" ] ~doc:"RNG seed.") in
-  let modes_t =
-    Arg.(
-      value
-      & opt (list mode_conv) [ Anyseq.Types.Global; Anyseq.Types.Semiglobal ]
-      & info [ "modes" ] ~doc:"Comma-separated alignment modes each round cycles through.")
-  in
-  let run listen admin max_batch max_wait_us max_pending dispatch_workers shards capacity
-      batch_size metrics_flag rounds count read_len seed modes backend json trace
-      metrics_format match_ mismatch gap_open gap_extend =
-    if listen <> [] then
-      serve_network ~listen ~admin ~max_batch ~max_wait_us ~max_pending ~dispatch_workers
-        ~shards ~capacity ~batch_size ~metrics_flag ~metrics_format
-    else begin
-    let scheme = scheme_of ~match_ ~mismatch ~gap_open ~gap_extend ~alphabet:`Dna5 in
-    let pairs = load_pairs ~reads:None ~subjects:None ~count ~seed ~read_len in
-    let service = Anyseq.Service.create ~capacity:(max 1024 count) () in
-    let metrics = Anyseq.Service.metrics service in
-    with_trace trace @@ fun () ->
-    let cells_before = ref 0 in
-    if not json then
-      Printf.printf "serving %d jobs/round x %d mode(s) x %d rounds (scheme %s)\n" count
-        (List.length modes) rounds (Anyseq.Scheme.to_string scheme);
-    for round = 1 to rounds do
-      let dt =
-        Anyseq_util.Timer.time_only (fun () ->
-            List.iter
-              (fun mode ->
-                let config =
-                  Anyseq.Config.make ~scheme ~mode ~traceback:false ~backend ()
-                in
-                ignore (Anyseq.align_batch ~service ~config pairs))
-              modes)
-      in
-      let cells = Option.value ~default:0 (Anyseq.Metrics.find metrics "runtime/cells_computed") in
-      let round_cells = cells - !cells_before in
-      cells_before := cells;
-      let cs = Anyseq.Service.cache_stats service in
-      if json then
-        Printf.printf
-          "{\"round\":%d,\"jobs\":%d,\"seconds\":%.6f,\"gcups\":%.4f,\"cache_hits\":%d,\"cache_misses\":%d}\n"
-          round
-          (count * List.length modes)
-          dt
-          (Anyseq_util.Timer.gcups ~cells:round_cells ~seconds:dt)
-          cs.Anyseq.Spec_cache.hits cs.Anyseq.Spec_cache.misses
-      else
-        Printf.printf "round %d: %5d jobs, %.3f s, %.3f GCUPS, cache %d hits / %d misses\n"
-          round
-          (count * List.length modes)
-          dt
-          (Anyseq_util.Timer.gcups ~cells:round_cells ~seconds:dt)
-          cs.Anyseq.Spec_cache.hits cs.Anyseq.Spec_cache.misses
-    done;
-    if not json then begin
-      let cs = Anyseq.Service.cache_stats service in
-      Printf.printf "cache: %d/%d entries, hit rate %.1f%% (cold misses = distinct configurations)\n"
-        cs.Anyseq.Spec_cache.size cs.Anyseq.Spec_cache.capacity
-        (100.0 *. Anyseq.Spec_cache.hit_rate cs);
-      print_endline "--- metrics ---";
-      print_endline (dump_metrics metrics_format metrics)
-    end
-    end
+      & info [ "capacity" ] ~doc:"Runtime service admission capacity.")
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "With $(b,--listen), a network alignment server: wire-protocol requests from any mix \
-          of Unix-domain and TCP listeners are continuously batched through one shared runtime \
-          service; SIGTERM/SIGINT drains gracefully. Without it, a sustained-load \
-          demonstration loop over the same service, in process.")
+         "Network alignment server: wire-protocol requests from any mix of Unix-domain and \
+          TCP listeners are continuously batched through one shared runtime service; \
+          SIGTERM/SIGINT drains gracefully. To measure throughput in process, use \
+          $(b,anyseq batch).")
     Term.(
-      const run $ listen_t $ admin_t $ max_batch_t $ max_wait_us_t $ max_pending_t
-      $ dispatch_workers_t $ shards_t $ capacity_t $ batch_size_t $ metrics_t $ rounds_t
-      $ count_t $ read_len_t $ seed_t $ modes_t $ backend_t $ json_t $ trace_t
-      $ metrics_format_t $ match_t $ mismatch_t $ gap_open_t $ gap_extend_t)
+      const serve_network $ listen_t $ admin_t $ max_batch_t $ max_wait_us_t $ max_pending_t
+      $ shards_t $ capacity_t $ batch_size_t $ metrics_t $ metrics_format_t)
 
 let client_cmd =
   let connect_t =
@@ -696,10 +623,6 @@ let client_cmd =
     match List.sort (fun (_, a) (_, b) -> compare b a) errors with
     | [] -> 0
     | (code, _) :: _ -> exit_code_of_wire code
-  in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0 else sorted.(min (n - 1) (int_of_float (float_of_int n *. p)))
   in
   let run connect query subject reads subjects count seed window timeout traceback scheme_name
       alphabet mode backend json match_ mismatch gap_open gap_extend =
@@ -764,7 +687,7 @@ let client_cmd =
         exit exit_invalid_config
     | None, None -> (
         (* Load mode: drive file or simulated pairs through the pipeline. *)
-        let pairs = load_pairs ~reads ~subjects ~count ~seed ~read_len:150 in
+        let pairs = load_pairs ~reads ~subjects ~count ~seed in
         let t0 = Anyseq_util.Timer.now_ns () in
         match Anyseq.Client.run_load conn ~window ?timeout_s:timeout ~config pairs with
         | Error msg ->
@@ -772,19 +695,21 @@ let client_cmd =
             exit exit_protocol
         | Ok st ->
             let dt = Int64.to_float (Int64.sub (Anyseq_util.Timer.now_ns ()) t0) /. 1e9 in
-            let lat = Array.copy st.Anyseq.Client.latencies_us in
-            Array.sort compare lat;
             let completed = st.Anyseq.Client.completed in
+            let lat = Array.map float_of_int st.Anyseq.Client.latencies_us in
+            let percentile p =
+              if Array.length lat = 0 then 0.0 else Anyseq_util.Stats.percentile lat p
+            in
             let mean_batch =
               if completed = 0 then 0.0
               else float_of_int st.Anyseq.Client.batch_jobs_sum /. float_of_int completed
             in
             if json then begin
               Printf.printf
-                "{\"completed\":%d,\"ok\":%d,\"seconds\":%.6f,\"rps\":%.1f,\"p50_us\":%d,\"p99_us\":%d,\"mean_batch\":%.2f"
+                "{\"completed\":%d,\"ok\":%d,\"seconds\":%.6f,\"rps\":%.1f,\"p50_us\":%.0f,\"p99_us\":%.0f,\"mean_batch\":%.2f"
                 completed st.Anyseq.Client.ok dt
                 (float_of_int completed /. dt)
-                (percentile lat 0.50) (percentile lat 0.99) mean_batch;
+                (percentile 50.0) (percentile 99.0) mean_batch;
               if st.Anyseq.Client.errors <> [] then begin
                 print_string ",\"errors\":{";
                 List.iteri
@@ -798,10 +723,10 @@ let client_cmd =
             end
             else begin
               Printf.printf
-                "%d requests in %.3f s (%.1f req/s), %d ok, p50 %d us, p99 %d us, mean batch %.2f\n"
+                "%d requests in %.3f s (%.1f req/s), %d ok, p50 %.0f us, p99 %.0f us, mean batch %.2f\n"
                 completed dt
                 (float_of_int completed /. dt)
-                st.Anyseq.Client.ok (percentile lat 0.50) (percentile lat 0.99) mean_batch;
+                st.Anyseq.Client.ok (percentile 50.0) (percentile 99.0) mean_batch;
               List.iter
                 (fun (code, n) ->
                   Printf.printf "  %6d x %s\n" n (Anyseq.Wire.code_to_string code))
@@ -1259,7 +1184,7 @@ let trace_cmd =
   let run count seed traceback out buffer mode backend match_ mismatch gap_open gap_extend =
     let scheme = scheme_of ~match_ ~mismatch ~gap_open ~gap_extend ~alphabet:`Dna5 in
     let config = Anyseq.Config.make ~scheme ~mode ~traceback ~backend () in
-    let pairs = load_pairs ~reads:None ~subjects:None ~count ~seed ~read_len:150 in
+    let pairs = load_pairs ~reads:None ~subjects:None ~count ~seed in
     (* A private service so the specialization cache is cold: the trace
        then shows the full story, PE included. *)
     let service = Anyseq.Service.create ~capacity:(max 1 (Array.length pairs)) () in

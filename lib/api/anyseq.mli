@@ -189,7 +189,7 @@ val align_batch :
     on every job ([Timeout]). Batched score-only jobs hit the
     specialization caches and the pre-generated residual kernels, so a
     batch over few configurations runs substantially faster than a loop
-    over {!align} — the runtime bench table quantifies it.
+    over {!align}.
 
     Execution shape, in precedence order: [?service] (its creation-time
     shape wins, [?runtime] is ignored); else [?runtime] (a service of

@@ -1,8 +1,8 @@
 (** Client library for the alignment server.
 
     A connection is a plain blocking socket speaking {!Wire} frames; it is
-    not thread-safe — share nothing, or open one connection per thread
-    (the loopback bench does exactly that). Three entry points:
+    not thread-safe — share nothing, or open one connection per thread.
+    Three entry points:
 
     - {!align} — one request, one reply; the low-latency path.
     - {!align_many} — windowed pipelining: up to [window] requests are in
@@ -10,7 +10,8 @@
       across batches). This is what makes server-side batching effective:
       a pipelining client fills the batcher's 2 ms window.
     - {!run_load} — {!align_many} plus measurement: per-request latency
-      and the server-reported batch sizes, for the bench and smoke tests.
+      and the server-reported batch sizes, for the CLI's load mode and the
+      smoke tests.
 
     Remote failures ([Rejected], [Timeout], …) are per-request values;
     [Protocol _] means the connection itself is broken and must be

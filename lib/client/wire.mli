@@ -18,7 +18,7 @@
     coordinates, optional CIGAR) or a typed error code, plus server-side
     timing (nanoseconds spent queued and in the batch executor) and the
     size of the batch the request rode in — the observability hooks the
-    loopback bench and the smoke tests read.
+    CLI client and the smoke tests read.
 
     Schemes cross the wire either as the parameters of a simple
     match/mismatch + gap model ([Simple]) or as the name of a built-in

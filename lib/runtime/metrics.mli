@@ -60,7 +60,7 @@ val find : t -> string -> int option
 
 val find_hist : t -> string -> histogram option
 (** Histogram by name, without registering one — for snapshot consumers
-    (the admin endpoint's stage tables, the bench reports). *)
+    (the admin endpoint's stage tables). *)
 
 val record_gc : t -> unit
 (** Refresh the GC gauges — [gc/minor_words], [gc/major_collections],

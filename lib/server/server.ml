@@ -16,7 +16,6 @@ type config = {
   max_batch : int;
   max_wait_us : int;
   max_pending : int;
-  dispatch_workers : int;
   shards : int;
   admin : Addr.t option;
   flight_capacity : int;
@@ -28,7 +27,6 @@ let default_config ?(addrs = []) ?(shards = 1) ?admin () =
     max_batch = 64;
     max_wait_us = 2000;
     max_pending = 8192;
-    dispatch_workers = 1;
     shards;
     admin;
     flight_capacity = Flight.default_capacity;
@@ -36,7 +34,7 @@ let default_config ?(addrs = []) ?(shards = 1) ?admin () =
 
 (* A connection: the reader thread owns the socket's read side and the
    conn's lifetime; the writer thread drains [out] so a slow client blocks
-   only its own writer, never a dispatch worker. *)
+   only its own writer, never the dispatch worker. *)
 type conn = {
   cid : int;
   fd : Unix.file_descr;
@@ -48,7 +46,7 @@ type conn = {
   mutable dead : bool;  (** write side failed; replies are dropped *)
 }
 
-(* An admitted request waiting for a dispatch worker. The view keeps the
+(* An admitted request waiting for the dispatch worker. The view keeps the
    sequences as ranges of the raw frame payload — they are parsed straight
    into packed buffers at dispatch, never copied out as strings. The three
    stamps are the first stages of the request's latency decomposition:
@@ -64,7 +62,7 @@ type pending = {
 }
 
 (* A batch in flight inside the service: submitted, not yet awaited. The
-   dispatch workers produce these; the completer consumes them in
+   dispatch worker produces these; the completer consumes them in
    submission order, so replies leave in the order batches formed while
    the shards already chew on the next batch. *)
 type inflight = {
@@ -91,7 +89,7 @@ type t = {
   intern_mutex : Mutex.t;
   stop_mutex : Mutex.t;
   mutable acceptor : Thread.t option;
-  mutable workers : Thread.t list;
+  mutable worker : Thread.t option;
   mutable completer : Thread.t option;
   (* observability *)
   flight : Flight.t;
@@ -237,7 +235,7 @@ let writer_loop conn =
   in
   go ()
 
-(* ---- dispatch workers ---- *)
+(* ---- dispatch worker ---- *)
 
 (* Stage 1: parse and submit. Returns the ticket without waiting, so the
    worker can form the next batch while the shards execute this one. *)
@@ -659,9 +657,10 @@ let statusz_json t =
     "\"flight\":{\"capacity\":%d,\"recorded\":%d,\"dumps\":%d,\"burst_triggers\":%d},"
     (Flight.capacity t.flight) (Flight.recorded t.flight) (c "server/flight_dumps")
     (c "server/flight_burst_triggers");
-  (* A network pipeline sharing this registry (an embedded run, or the
-     CLI's own --admin endpoint reusing this renderer) exposes its phase
-     progress; absent counters render nothing. *)
+  (* A network pipeline run embedded against this registry exposes its
+     phase progress; absent counters render nothing. (The CLI's
+     [network --admin] does not use this renderer: it serves its own
+     /statusz built from the same [Pipeline.status_json].) *)
   (match Anyseq_network.Pipeline.status_json m with
   | Some net -> Printf.bprintf b "\"network\":%s," net
   | None -> ());
@@ -707,7 +706,7 @@ let install_signal_handlers t =
 (* The drain sequence. Order matters:
    1. flag draining — readers answer new requests with [Draining];
    2. stop the acceptor and close the listeners;
-   3. close the request batcher — workers flush the remaining queue
+   3. close the request batcher — the worker flushes the remaining queue
       (submitting every batch) and exit;
    4. close the completion queue — the completer awaits every
       outstanding ticket, fans its replies out, and exits;
@@ -728,7 +727,7 @@ let do_stop t =
         Addr.unlink_if_socket addr)
       t.listeners;
     Batcher.close t.batcher;
-    List.iter Thread.join t.workers;
+    (match t.worker with Some th -> Thread.join th | None -> ());
     Batcher.close t.completions;
     (match t.completer with Some th -> Thread.join th | None -> ());
     if t.owns_srv then Service.shutdown t.srv else Service.drain t.srv;
@@ -764,9 +763,9 @@ let stop t =
 
 let start ?service cfg =
   if cfg.addrs = [] then Error "Server.start: no listen addresses"
-  else if cfg.max_batch <= 0 || cfg.max_pending <= 0 || cfg.dispatch_workers <= 0
-          || cfg.max_wait_us < 0 || cfg.shards <= 0 || cfg.flight_capacity <= 0
-  then Error "Server.start: batch/pending/workers/shards/flight must be positive"
+  else if cfg.max_batch <= 0 || cfg.max_pending <= 0 || cfg.max_wait_us < 0
+          || cfg.shards <= 0 || cfg.flight_capacity <= 0
+  then Error "Server.start: batch/pending/shards/flight must be positive"
   else begin
     ignore_sigpipe ();
     let rec bind acc = function
@@ -799,8 +798,8 @@ let start ?service cfg =
               Batcher.create ~max_batch:cfg.max_batch ~max_wait_us:cfg.max_wait_us
                 ~max_pending:cfg.max_pending ();
             completions =
-              (* One slot per possible in-flight batch; batches come one
-                 per worker plus whatever the service admits. *)
+              (* One slot per possible in-flight batch; the worker submits
+                 one at a time, as many as the service admits. *)
               Batcher.create ~max_batch:1 ~max_wait_us:0 ~max_pending:cfg.max_pending ();
             listeners;
             stop_requested = Atomic.make false;
@@ -813,7 +812,7 @@ let start ?service cfg =
             intern_mutex = Mutex.create ();
             stop_mutex = Mutex.create ();
             acceptor = None;
-            workers = [];
+            worker = None;
             completer = None;
             flight = Flight.create ~capacity:cfg.flight_capacity ();
             admin = None;
@@ -844,8 +843,7 @@ let start ?service cfg =
             if owns_srv then Service.shutdown srv;
             Error msg
         | Ok () ->
-            t.workers <-
-              List.init cfg.dispatch_workers (fun _ -> Thread.create worker_loop t);
+            t.worker <- Some (Thread.create worker_loop t);
             t.completer <- Some (Thread.create completer_loop t);
             t.acceptor <- Some (Thread.create acceptor_loop t);
             Ok t)

@@ -17,7 +17,7 @@
       happens here, against an interning table, so every distinct wire
       configuration maps to one physical [Config.t] and the
       specialization caches stay warm across connections;
-    - {b dispatch workers} — [dispatch_workers] threads looping
+    - {b dispatch worker} — one thread looping
       [Batcher.next_batch] → parse → [Service.submit_seqs]. With fewer
       than two batches in flight the batcher hands out whatever is
       queued at once; behind two it closes the forming batch when one
@@ -72,7 +72,6 @@ type config = {
       (** upper bound on how long a batch forms while another executes
           (default 2000) *)
   max_pending : int;  (** request queue bound — beyond it, [Rejected] (default 8192) *)
-  dispatch_workers : int;  (** concurrent submit loops (default 1) *)
   shards : int;
       (** service lanes when [start] creates the service itself (default
           1; ≥ 2 spawns one worker domain per shard). Ignored when an

@@ -11,9 +11,8 @@
 
     Tracing is globally off by default. Every entry point is guarded by one
     [Atomic.get] on the enable flag, so instrumented code pays ~nothing when
-    tracing is disabled (the bench harness's [--only trace] table and the
-    [@trace-overhead] alias keep the enabled cost below 5% on the runtime
-    batch workload).
+    tracing is disabled (the [@trace-overhead] alias keeps the enabled
+    cost below 5% on the runtime batch workload).
 
     Typical use:
 

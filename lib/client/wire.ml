@@ -278,6 +278,13 @@ type cursor = { s : string; mutable pos : int }
 let need c n =
   if n < 0 || c.pos + n > String.length c.s then raise (Malformed "truncated payload")
 
+(* Run [f] over the whole payload: trailing bytes are an error too. *)
+let parse payload f =
+  let c = { s = payload; pos = 0 } in
+  match f c with
+  | v -> if c.pos <> String.length payload then Error "trailing bytes after payload" else Ok v
+  | exception Malformed msg -> Error msg
+
 let r_u8 c =
   need c 1;
   let v = Char.code c.s.[c.pos] in
@@ -296,13 +303,19 @@ let r_i64 c =
   c.pos <- c.pos + 8;
   v
 
-let r_str c =
+(* A length-prefixed string, as the byte range it occupies: the request
+   view keeps sequences as ranges, without copies. *)
+let r_span c =
   let n = r_i32 c in
   if n < 0 || n > max_frame then raise (Malformed "bad string length");
   need c n;
-  let v = String.sub c.s c.pos n in
+  let pos = c.pos in
   c.pos <- c.pos + n;
-  v
+  (pos, n)
+
+let r_str c =
+  let pos, n = r_span c in
+  String.sub c.s pos n
 
 let r_config c =
   let scheme =
@@ -360,15 +373,6 @@ let r_trace ~version c =
         Some { trace_id; parent_span }
     | _ -> raise (Malformed "bad trace flag")
 
-let r_request ~version c =
-  let id = r_i64 c in
-  let config = r_config c in
-  let timeout_s = r_timeout c in
-  let query = r_str c in
-  let subject = r_str c in
-  let trace = r_trace ~version c in
-  { id; config; timeout_s; query; subject; trace }
-
 (* A request decoded without copying its sequences: the view keeps the
    payload string and the byte ranges the sequences occupy, so a host can
    parse them straight into packed code buffers. *)
@@ -384,40 +388,27 @@ type request_view = {
   rv_trace : trace_context option;
 }
 
-(* [r_str] without the [String.sub]: validate the length prefix, skip the
-   bytes, hand back the range. *)
-let r_span c =
-  let n = r_i32 c in
-  if n < 0 || n > max_frame then raise (Malformed "bad string length");
-  need c n;
-  let pos = c.pos in
-  c.pos <- c.pos + n;
-  (pos, n)
+let r_view ~version c =
+  let rv_id = r_i64 c in
+  let rv_config = r_config c in
+  let rv_timeout_s = r_timeout c in
+  let rv_query_pos, rv_query_len = r_span c in
+  let rv_subject_pos, rv_subject_len = r_span c in
+  let rv_trace = r_trace ~version c in
+  {
+    rv_id;
+    rv_config;
+    rv_timeout_s;
+    rv_payload = c.s;
+    rv_query_pos;
+    rv_query_len;
+    rv_subject_pos;
+    rv_subject_len;
+    rv_trace;
+  }
 
 let decode_request_view ?(version = protocol_version) payload =
-  let c = { s = payload; pos = 0 } in
-  match
-    let rv_id = r_i64 c in
-    let rv_config = r_config c in
-    let rv_timeout_s = r_timeout c in
-    let rv_query_pos, rv_query_len = r_span c in
-    let rv_subject_pos, rv_subject_len = r_span c in
-    let rv_trace = r_trace ~version c in
-    {
-      rv_id;
-      rv_config;
-      rv_timeout_s;
-      rv_payload = payload;
-      rv_query_pos;
-      rv_query_len;
-      rv_subject_pos;
-      rv_subject_len;
-      rv_trace;
-    }
-  with
-  | v ->
-      if c.pos <> String.length payload then Error "trailing bytes after payload" else Ok v
-  | exception Malformed msg -> Error msg
+  parse payload (r_view ~version)
 
 let request_of_view v =
   {
@@ -458,45 +449,44 @@ let r_reply c =
   { rid; payload; queue_ns; service_ns; batch_jobs }
 
 let decode_payload ?(version = protocol_version) ~kind payload =
-  let c = { s = payload; pos = 0 } in
-  match
-    if kind = kind_request then Request (r_request ~version c)
-    else if kind = kind_reply then Reply (r_reply c)
-    else raise (Malformed (Printf.sprintf "unknown frame kind %d" kind))
-  with
-  | frame ->
-      if c.pos <> String.length payload then Error "trailing bytes after payload"
-      else Ok frame
-  | exception Malformed msg -> Error msg
+  parse payload @@ fun c ->
+  if kind = kind_request then Request (request_of_view (r_view ~version c))
+  else if kind = kind_reply then Reply (r_reply c)
+  else raise (Malformed (Printf.sprintf "unknown frame kind %d" kind))
 
-let decode_header s =
-  if String.length s < header_bytes then Error "short header"
+(* The header at [pos] of [b]; the caller has checked that
+   [header_bytes] are there. *)
+let header_at b pos =
+  let m = Bytes.get_uint16_be b pos in
+  if m <> magic then Error (Printf.sprintf "bad magic 0x%04x" m)
   else
-    let m = String.get_uint16_be s 0 in
-    if m <> magic then Error (Printf.sprintf "bad magic 0x%04x" m)
+    let v = Bytes.get_uint8 b (pos + 2) in
+    if v < min_protocol_version || v > protocol_version then
+      Error (Printf.sprintf "unsupported protocol version %d" v)
     else
-      let v = Char.code s.[2] in
-      if v < min_protocol_version || v > protocol_version then
-        Error (Printf.sprintf "unsupported protocol version %d" v)
-      else
-        let kind = Char.code s.[3] in
-        let len = Int32.to_int (String.get_int32_be s 4) in
-        if len < 0 || len > max_frame then
-          Error (Printf.sprintf "payload length %d out of range" len)
-        else Ok (v, kind, len)
+      let len = Int32.to_int (Bytes.get_int32_be b (pos + 4)) in
+      if len < 0 || len > max_frame then
+        Error (Printf.sprintf "payload length %d out of range" len)
+      else Ok (v, Bytes.get_uint8 b (pos + 3), len)
 
-let decode_frame buf =
-  if String.length buf < header_bytes then Error `Incomplete
+let split_frame b ~pos ~len =
+  if len < header_bytes then Error `Incomplete
   else
-    match decode_header (String.sub buf 0 header_bytes) with
+    match header_at b pos with
     | Error msg -> Error (`Malformed msg)
-    | Ok (version, kind, len) ->
-        if String.length buf < header_bytes + len then Error `Incomplete
-        else
-          let payload = String.sub buf header_bytes len in
-          (match decode_payload ~version ~kind payload with
-          | Ok frame -> Ok (frame, header_bytes + len)
-          | Error msg -> Error (`Malformed msg))
+    | Ok (version, kind, n) ->
+        if len < header_bytes + n then Error `Incomplete
+        else Ok (version, kind, Bytes.sub_string b (pos + header_bytes) n, header_bytes + n)
+
+(* [split_frame] never mutates its buffer, so viewing the string as bytes
+   is sound. *)
+let decode_frame s =
+  match split_frame (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s) with
+  | Error e -> Error e
+  | Ok (version, kind, payload, consumed) -> (
+      match decode_payload ~version ~kind payload with
+      | Ok frame -> Ok (frame, consumed)
+      | Error msg -> Error (`Malformed msg))
 
 (* ---- blocking fd I/O ---- *)
 
@@ -509,13 +499,13 @@ let rec read_exact fd buf pos len =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_exact fd buf pos len
     | exception Unix.Unix_error (e, _, _) -> `Err (Unix.error_message e)
 
-let read_raw_frame fd =
+let read_frame fd =
   let hdr = Bytes.create header_bytes in
   match read_exact fd hdr 0 header_bytes with
   | `Closed -> Error `Eof
   | `Err msg -> Error (`Io msg)
   | `Ok -> (
-      match decode_header (Bytes.to_string hdr) with
+      match header_at hdr 0 with
       | Error msg -> Error (`Malformed msg)
       | Ok (version, kind, len) -> (
           let payload = Bytes.create len in
@@ -523,26 +513,19 @@ let read_raw_frame fd =
           | `Closed -> Error (`Malformed "stream closed mid-frame")
           | `Err msg -> Error (`Io msg)
           (* The buffer never escapes as [Bytes.t], so freezing it in
-             place is sound — the payload is read exactly once off the
-             socket and shared by every view into it. *)
-          | `Ok -> Ok (version, kind, Bytes.unsafe_to_string payload)))
-
-let read_frame fd =
-  match read_raw_frame fd with
-  | Error _ as e -> e
-  | Ok (version, kind, payload) -> (
-      match decode_payload ~version ~kind payload with
-      | Ok frame -> Ok frame
-      | Error msg -> Error (`Malformed msg))
+             place is sound. *)
+          | `Ok -> (
+              match decode_payload ~version ~kind (Bytes.unsafe_to_string payload) with
+              | Ok frame -> Ok frame
+              | Error msg -> Error (`Malformed msg))))
 
 let write_frame fd s =
-  let buf = Bytes.of_string s in
   let rec go pos len =
     if len = 0 then Ok ()
     else
-      match Unix.write fd buf pos len with
+      match Unix.write_substring fd s pos len with
       | n -> go (pos + n) (len - n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos len
       | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   in
-  go 0 (Bytes.length buf)
+  go 0 (String.length s)

@@ -154,10 +154,10 @@ type request_view = {
 
 val kind_request : int
 val kind_reply : int
-(** Frame kind bytes, as {!decode_header} returns them. *)
+(** Frame kind bytes, as {!split_frame} returns them. *)
 
 val decode_request_view : ?version:int -> string -> (request_view, string) result
-(** Decode a request payload (as returned by {!read_raw_frame} for
+(** Decode a request payload (as returned by {!split_frame} for
     {!kind_request}) without copying the sequences. Same validation as the
     copying decoder, including the trailing-bytes check. [version]
     (default {!protocol_version}) is the version the frame's header
@@ -176,19 +176,26 @@ val encode_request : ?version:int -> request -> string
 
 val encode_reply : reply -> string
 
-val decode_header : string -> (int * int * int, string) result
-(** [(version, kind, payload_len)] from the first {!header_bytes} bytes;
-    [Error] on short input, bad magic, version outside
-    [[min_protocol_version, protocol_version]], or oversized length. *)
-
 val decode_payload : ?version:int -> kind:int -> string -> (frame, string) result
 (** Decode one complete payload as encoded under [version] (default
     {!protocol_version}). Trailing bytes are an error. *)
 
+val split_frame :
+  Bytes.t ->
+  pos:int ->
+  len:int ->
+  (int * int * string * int, [ `Incomplete | `Malformed of string ]) result
+(** Split one frame off the [len] bytes of [b] that start at [pos]:
+    [(version, kind, payload, consumed)], the payload a fresh copy,
+    undecoded. [`Incomplete] means more bytes are needed. [`Malformed]
+    means the stream cannot be resynced: bad magic, a version outside
+    [[min_protocol_version, protocol_version]], or a length beyond
+    {!max_frame}, all judged from the header alone. The server splits its
+    connections' input with this. *)
+
 val decode_frame : string -> (frame * int, [ `Incomplete | `Malformed of string ]) result
-(** Parse one frame off the head of a buffer, returning bytes consumed —
-    the incremental entry the fuzz tests drive. [`Incomplete] means more
-    bytes are needed; [`Malformed] means the stream is unrecoverable. *)
+(** {!split_frame} at the head of a string, then {!decode_payload}:
+    one frame and the bytes it consumed. *)
 
 (** {1 Blocking frame I/O}
 
@@ -196,15 +203,8 @@ val decode_frame : string -> (frame * int, [ `Incomplete | `Malformed of string 
 
 val read_frame :
   Unix.file_descr -> (frame, [ `Eof | `Malformed of string | `Io of string ]) result
-(** [`Eof] on clean close before a header byte; a header or payload cut
-    short mid-frame is [`Malformed]. *)
-
-val read_raw_frame :
-  Unix.file_descr ->
-  (int * int * string, [ `Eof | `Malformed of string | `Io of string ]) result
-(** One validated header plus its raw payload, undecoded — [(version,
-    kind, payload)]. The payload string is freshly read and uniquely
-    owned; {!read_frame} is this followed by {!decode_payload}. *)
+(** [`Eof] on a close before a whole header; a payload cut short is
+    [`Malformed]. *)
 
 val write_frame : Unix.file_descr -> string -> (unit, string) result
 (** Write a whole encoded frame, handling short writes; [Error] wraps

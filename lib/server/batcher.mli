@@ -1,8 +1,8 @@
 (** The continuous batcher: a bounded multi-producer queue whose consumer
     side hands out {e batches}, not items.
 
-    Connection readers {!push} requests as they arrive; dispatch workers
-    block in {!next_batch}. A batch is handed out {e in flight}: it counts
+    The server's I/O thread {!push}es requests as they arrive; its
+    dispatch worker blocks in {!next_batch}. A batch is handed out {e in flight}: it counts
     against the batcher until the consumer {!release}s it, once its
     replies have gone out. Two batches may be in flight — one executing,
     one submitted behind it — so the next batch is parsed and queued

@@ -22,7 +22,7 @@ type record = {
   fr_enqueue_ns : int64;  (** admitted into the batcher *)
   fr_submit_ns : int64;  (** batch submitted to the service *)
   fr_done_ns : int64;  (** batch results available *)
-  fr_reply_ns : int64;  (** reply enqueued to the connection writer *)
+  fr_reply_ns : int64;  (** reply handed to the I/O thread *)
   fr_batch_jobs : int;
   fr_outcome : string;  (** "ok" or the wire error-code string *)
 }

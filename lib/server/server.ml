@@ -32,18 +32,17 @@ let default_config ?(addrs = []) ?(shards = 1) ?admin () =
     flight_capacity = Flight.default_capacity;
   }
 
-(* A connection: the reader thread owns the socket's read side and the
-   conn's lifetime; the writer thread drains [out] so a slow client blocks
-   only its own writer, never the dispatch worker. *)
+(* A connection. Only the I/O thread touches it: [inbuf] holds the bytes
+   read but not yet split into frames, [out] the encoded replies it is
+   owed, the head one written up to [out_off]. *)
 type conn = {
   cid : int;
   fd : Unix.file_descr;
+  mutable inbuf : Bytes.t;
+  mutable in_len : int;
   out : string Queue.t;
-  out_mutex : Mutex.t;
-  out_cond : Condition.t;
-  out_limit : int;
-  mutable out_closed : bool;  (** no further enqueues; writer flushes then exits *)
-  mutable dead : bool;  (** write side failed; replies are dropped *)
+  mutable out_off : int;
+  mutable reading : bool;  (** cleared at EOF or a bad frame: flush, then close *)
 }
 
 (* An admitted request waiting for the dispatch worker. The view keeps the
@@ -81,21 +80,26 @@ type t = {
   listeners : (Unix.file_descr * Addr.t) list;
   stop_requested : bool Atomic.t;
   draining : bool Atomic.t;
+  finishing : bool Atomic.t;  (** drain done: the I/O loop flushes, closes, exits *)
   stopped : bool Atomic.t;
-  conns : (int, conn * Thread.t) Hashtbl.t;
-  conns_mutex : Mutex.t;
-  next_cid : int Atomic.t;
+  (* The I/O thread owns [conns], [next_cid] and [interned]. *)
+  conns : (Unix.file_descr, conn) Hashtbl.t;
+  conn_count : int Atomic.t;  (** [Hashtbl.length conns], for other threads *)
+  mutable next_cid : int;
   interned : (string, Rconfig.t) Hashtbl.t;
-  intern_mutex : Mutex.t;
+  outbox : (conn * string) Queue.t;  (** replies on their way to the I/O thread *)
+  outbox_mutex : Mutex.t;
+  wake_r : Unix.file_descr;  (** self-pipe: a byte wakes the I/O thread's select *)
+  wake_w : Unix.file_descr;
   stop_mutex : Mutex.t;
-  mutable acceptor : Thread.t option;
+  mutable io : Thread.t option;
   mutable worker : Thread.t option;
   mutable completer : Thread.t option;
   (* observability *)
   flight : Flight.t;
   mutable admin : Admin.t option;
   started_at : float;  (** wall clock, for /statusz uptime *)
-  dump_flag : bool Atomic.t;  (** SIGUSR1 / burst trigger → acceptor dumps *)
+  dump_flag : bool Atomic.t;  (** SIGUSR1 / burst trigger → the I/O loop dumps *)
   burst_window_ns : int64 Atomic.t;  (** start of the current miss window *)
   burst_misses : int Atomic.t;  (** deadline misses inside the window *)
   last_dump_ns : int64 Atomic.t;  (** burst-dump cooldown *)
@@ -110,11 +114,7 @@ let admin_address t = Option.map Admin.address t.admin
 let ctr t name = Metrics.counter (metrics t) ("server/" ^ name)
 let hist t name = Metrics.histogram (metrics t) ("server/" ^ name)
 
-let connections t =
-  Mutex.lock t.conns_mutex;
-  let n = Hashtbl.length t.conns in
-  Mutex.unlock t.conns_mutex;
-  n
+let connections t = Atomic.get t.conn_count
 
 let flight_dump_path () =
   Filename.concat
@@ -143,6 +143,11 @@ let note_deadline_miss t now =
     Atomic.set t.dump_flag true
   end
 
+let close_listeners =
+  List.iter (fun (fd, addr) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Addr.unlink_if_socket addr)
+
 let ignore_sigpipe () =
   match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
@@ -158,82 +163,32 @@ let intern_limit = 1024
 
 let intern_config t wc =
   let key = Wire.config_key wc in
-  Mutex.lock t.intern_mutex;
-  let r =
-    match Hashtbl.find_opt t.interned key with
-    | Some cfg -> Ok cfg
-    | None -> (
-        match Wire.resolve_config wc with
-        | Error _ as e -> e
-        | Ok cfg ->
-            (* A hostile client could fill the table with one-off configs;
-               beyond the bound we serve uncached (correct, just slower). *)
-            if Hashtbl.length t.interned < intern_limit then Hashtbl.add t.interned key cfg;
-            Ok cfg)
-  in
-  Mutex.unlock t.intern_mutex;
-  r
+  match Hashtbl.find_opt t.interned key with
+  | Some cfg -> Ok cfg
+  | None -> (
+      match Wire.resolve_config wc with
+      | Error _ as e -> e
+      | Ok cfg ->
+          (* A hostile client could fill the table with one-off configs;
+             beyond the bound we serve uncached (correct, just slower). *)
+          if Hashtbl.length t.interned < intern_limit then Hashtbl.add t.interned key cfg;
+          Ok cfg)
 
-(* ---- reply path ---- *)
+(* ---- reply path ----
+   Replies cross threads in one place: the completer (or the worker,
+   replying inline) appends them to [outbox] and, when it was empty,
+   writes a byte to the self-pipe. The I/O thread queues them on their
+   connections and writes them out. *)
 
-let enqueue_reply t conn frame =
-  Mutex.lock conn.out_mutex;
-  if conn.dead || conn.out_closed then begin
-    Mutex.unlock conn.out_mutex;
-    Metrics.incr (ctr t "replies_dropped")
-  end
-  else if Queue.length conn.out >= conn.out_limit then begin
-    (* Slow consumer: its replies pile up faster than it reads. Cutting the
-       connection is the only bounded-memory option. *)
-    conn.dead <- true;
-    Condition.broadcast conn.out_cond;
-    Mutex.unlock conn.out_mutex;
-    Metrics.incr (ctr t "slow_consumer_drops")
-  end
-  else begin
-    Queue.add frame conn.out;
-    Condition.signal conn.out_cond;
-    Mutex.unlock conn.out_mutex;
-    Metrics.incr (ctr t "requests_replied")
-  end
+let wake t =
+  try ignore (Unix.single_write_substring t.wake_w "!" 0 1) with Unix.Unix_error _ -> ()
 
-let error_reply t conn ~rid code message =
-  let reply =
-    {
-      Wire.rid;
-      payload = Wire.Failure { code; message };
-      queue_ns = 0L;
-      service_ns = 0L;
-      batch_jobs = 0;
-    }
-  in
-  enqueue_reply t conn (Wire.encode_reply reply)
-
-let writer_loop conn =
-  let rec go () =
-    Mutex.lock conn.out_mutex;
-    let rec await () =
-      if conn.dead then `Exit
-      else if not (Queue.is_empty conn.out) then `Write (Queue.pop conn.out)
-      else if conn.out_closed then `Exit
-      else begin
-        Condition.wait conn.out_cond conn.out_mutex;
-        await ()
-      end
-    in
-    let action = await () in
-    Mutex.unlock conn.out_mutex;
-    match action with
-    | `Exit -> ()
-    | `Write frame -> (
-        match Wire.write_frame conn.fd frame with
-        | Ok () -> go ()
-        | Error _ ->
-            Mutex.lock conn.out_mutex;
-            conn.dead <- true;
-            Mutex.unlock conn.out_mutex)
-  in
-  go ()
+let send t conn frame =
+  Mutex.lock t.outbox_mutex;
+  let was_empty = Queue.is_empty t.outbox in
+  Queue.add (conn, frame) t.outbox;
+  Mutex.unlock t.outbox_mutex;
+  if was_empty then wake t
 
 (* ---- dispatch worker ---- *)
 
@@ -271,17 +226,7 @@ let submit_batch t batch =
         | exception Invalid_argument msg -> Error (Rerror.Bad_sequence msg))
       items
   in
-  let live = Array.make n None in
-  let live_n = ref 0 in
-  Array.iter
-    (fun r ->
-      match r with
-      | Ok j ->
-          live.(!live_n) <- Some j;
-          incr live_n
-      | Error _ -> ())
-    parsed;
-  let jobs = Array.init !live_n (fun i -> Option.get live.(i)) in
+  let jobs = Array.of_list (List.filter_map Result.to_option (Array.to_list parsed)) in
   (* Thread the client's trace id down through the service spans: a batch
      mixes requests from many clients, so stamp the first traced request's
      id plus how many rode along — enough to find the batch from a trace
@@ -319,25 +264,24 @@ let reply_batch t inf =
       ~attrs:[ ("jobs", Trace.Int n) ]
       (fun () -> Service.await inf.if_ticket)
   in
-  let results = Array.make n (Error Rerror.Rejected) in
-  let k = ref 0 in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok _ ->
-          results.(i) <- live_results.(!k);
-          incr k
-      | Error e -> results.(i) <- Error e)
-    parsed;
   let done_ns = Timer.now_ns () in
   let service_ns = Int64.sub done_ns t0 in
   Metrics.observe (hist t "batch_jobs") n;
   Metrics.observe (hist t "service_us") (Int64.to_int service_ns / 1000);
   Trace.with_span "server.reply" ~attrs:[ ("jobs", Trace.Int n) ] @@ fun () ->
+  (* The [k]th live result answers the [k]th item that parsed. *)
+  let k = ref 0 in
   Array.iteri
     (fun i p ->
+      let result =
+        match parsed.(i) with
+        | Ok _ ->
+            incr k;
+            live_results.(!k - 1)
+        | Error e -> Error e
+      in
       let payload, outcome =
-        match results.(i) with
+        match result with
         | Ok (o : Service.outcome) ->
             let cigar =
               Option.map (fun a -> Cigar.to_string a.Alignment.cigar) o.Service.alignment
@@ -361,10 +305,12 @@ let reply_batch t inf =
       let reply =
         { Wire.rid = p.pview.Wire.rv_id; payload; queue_ns; service_ns; batch_jobs = n }
       in
-      enqueue_reply t p.pconn (Wire.encode_reply reply);
+      let frame = Wire.encode_reply reply in
       (* Stage decomposition: one observation per stage per request, so
          every stage histogram's count matches requests replied through
-         the batch path and the stages sum to the request's wall time. *)
+         the batch path and the stages sum to the request's wall time.
+         Stages, flight record and span are all in place before the reply
+         is handed over: a client holding its answer finds them. *)
       let reply_ns = Timer.now_ns () in
       let stage name a b =
         Metrics.observe (hist t name) (Int64.to_int (Int64.sub b a) / 1000)
@@ -392,7 +338,7 @@ let reply_batch t inf =
       (* The server half of the stitched cross-process trace: a completed
          [server.request] span covering accept → reply, parented under the
          client's span and tagged with its trace id. *)
-      match p.pview.Wire.rv_trace with
+      (match p.pview.Wire.rv_trace with
       | Some tc when Trace.enabled () ->
           ignore
             (Trace.emit "server.request"
@@ -405,7 +351,8 @@ let reply_batch t inf =
                    ("batch_jobs", Trace.Int n);
                  ]
                ~start_ns:p.p_accept_ns ~end_ns:reply_ns)
-      | _ -> ())
+      | _ -> ());
+      send t p.pconn frame)
     items
 
 (* A batch leaves the batcher's in-flight count once its replies are out —
@@ -439,12 +386,61 @@ let completer_loop t =
   in
   go ()
 
-(* ---- connection readers ---- *)
+(* ---- the I/O loop ----
+   One thread and one [select]; every socket is non-blocking. *)
 
-(* Requests answered before dispatch (draining, bad config, full queue)
-   still leave a flight record: the stages they never reached keep the
-   last stamp they did reach, so stage deltas stay non-negative. *)
-let record_early t conn ~rid ~trace ~config ~accept_ns ~decode_ns code =
+let close_conn t c =
+  c.reading <- false;
+  match Hashtbl.find_opt t.conns c.fd with
+  | Some open_c when open_c == c ->
+      (try Unix.close c.fd with Unix.Unix_error _ -> ());
+      Hashtbl.remove t.conns c.fd;
+      Atomic.decr t.conn_count;
+      Metrics.incr (ctr t "connections_closed");
+      Metrics.gauge_set (metrics t) "server/connections" (connections t)
+  | _ -> ()
+
+(* No more input from [c]: deliver what it is owed, then close. *)
+let stop_reading t c =
+  c.reading <- false;
+  if Queue.is_empty c.out then close_conn t c
+
+let queue_reply t c frame =
+  if not c.reading then Metrics.incr (ctr t "replies_dropped")
+  else if Queue.length c.out >= 4 * t.cfg.max_pending then begin
+    (* Slow consumer: its replies pile up faster than it reads. Cutting the
+       connection is the only bounded-memory option. *)
+    Metrics.incr (ctr t "slow_consumer_drops");
+    close_conn t c
+  end
+  else begin
+    Queue.add frame c.out;
+    Metrics.incr (ctr t "requests_replied")
+  end
+
+(* Write what [c] is owed until its socket would block. *)
+let rec flush t c =
+  match Queue.peek_opt c.out with
+  | None -> if not c.reading then close_conn t c
+  | Some frame -> (
+      let len = String.length frame - c.out_off in
+      match Unix.single_write_substring c.fd frame c.out_off len with
+      | n when n = len ->
+          ignore (Queue.pop c.out);
+          c.out_off <- 0;
+          flush t c
+      | n -> c.out_off <- c.out_off + n
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+      | exception Unix.Unix_error _ -> close_conn t c)
+
+(* Answer a request before dispatch (draining, bad config, full queue). It
+   still leaves a flight record: the stages it never reached keep the last
+   stamp it did reach, so stage deltas stay non-negative. *)
+let reject t conn ~rid ~trace ~config ~accept_ns ~decode_ns counter code message =
+  Metrics.incr (ctr t counter);
+  let payload = Wire.Failure { code; message } in
+  queue_reply t conn
+    (Wire.encode_reply { Wire.rid; payload; queue_ns = 0L; service_ns = 0L; batch_jobs = 0 });
   Flight.record t.flight
     {
       Flight.fr_rid = rid;
@@ -461,113 +457,146 @@ let record_early t conn ~rid ~trace ~config ~accept_ns ~decode_ns code =
       fr_outcome = Wire.code_to_string code;
     }
 
-let reader_loop t conn =
-  let rec loop () =
-    match Wire.read_raw_frame conn.fd with
-    | Ok (version, kind, payload) when kind = Wire.kind_request -> (
-        let accept_ns = Timer.now_ns () in
-        match Wire.decode_request_view ~version payload with
-        | Error _ ->
-            (* The stream cannot be resynced after a corrupt frame: this
-               connection dies; the server keeps serving everyone else. *)
-            Metrics.incr (ctr t "bad_frames")
-        | Ok req ->
-            Metrics.incr (ctr t "requests_received");
-            let rid = req.Wire.rv_id in
-            let trace = Option.map (fun tc -> tc.Wire.trace_id) req.Wire.rv_trace in
-            (if Atomic.get t.draining then begin
-               Metrics.incr (ctr t "draining_rejected");
-               error_reply t conn ~rid Wire.Draining "server is draining";
-               record_early t conn ~rid ~trace ~config:"" ~accept_ns
-                 ~decode_ns:accept_ns Wire.Draining
-             end
-             else
-               match intern_config t req.Wire.rv_config with
-               | Error msg ->
-                   Metrics.incr (ctr t "bad_requests");
-                   error_reply t conn ~rid Wire.Bad_request msg;
-                   record_early t conn ~rid ~trace ~config:"" ~accept_ns
-                     ~decode_ns:accept_ns Wire.Bad_request
-               | Ok pcfg ->
-                   let decode_ns = Timer.now_ns () in
-                   let p =
-                     {
-                       pview = req;
-                       pcfg;
-                       pconn = conn;
-                       p_accept_ns = accept_ns;
-                       p_decode_ns = decode_ns;
-                       enq_ns = Timer.now_ns ();
-                     }
-                   in
-                   if Batcher.push t.batcher p then
-                     Metrics.gauge_set (metrics t) "server/queue_depth"
-                       (Batcher.depth t.batcher)
-                   else begin
-                     Metrics.incr (ctr t "queue_rejected");
-                     error_reply t conn ~rid Wire.Rejected "server request queue full";
-                     record_early t conn ~rid ~trace
-                       ~config:(Rconfig.to_string pcfg) ~accept_ns ~decode_ns
-                       Wire.Rejected
-                   end);
-            loop ())
-    | Ok (_, _, _) ->
-        (* A peer speaking the protocol backwards (or garbage we cannot
-           resync past) gets disconnected. *)
-        Metrics.incr (ctr t "bad_frames")
-    | Error `Eof | Error (`Io _) -> ()
-    | Error (`Malformed _) -> Metrics.incr (ctr t "bad_frames")
+let handle_frame t conn ~version ~kind payload =
+  let accept_ns = Timer.now_ns () in
+  match
+    if kind = Wire.kind_request then Wire.decode_request_view ~version payload
+    else Error "not a request"
+  with
+  | Error _ ->
+      (* A corrupt frame, or a peer speaking the protocol backwards: the
+         stream cannot be resynced, so this connection dies; the server
+         keeps serving everyone else. *)
+      Metrics.incr (ctr t "bad_frames");
+      stop_reading t conn
+  | Ok req -> (
+      Metrics.incr (ctr t "requests_received");
+      let rid = req.Wire.rv_id in
+      let trace = Option.map (fun tc -> tc.Wire.trace_id) req.Wire.rv_trace in
+      let reject = reject t conn ~rid ~trace ~accept_ns in
+      if Atomic.get t.draining then
+        reject ~config:"" ~decode_ns:accept_ns "draining_rejected" Wire.Draining
+          "server is draining"
+      else
+        match intern_config t req.Wire.rv_config with
+        | Error msg ->
+            reject ~config:"" ~decode_ns:accept_ns "bad_requests" Wire.Bad_request msg
+        | Ok pcfg ->
+            let decode_ns = Timer.now_ns () in
+            let p =
+              {
+                pview = req;
+                pcfg;
+                pconn = conn;
+                p_accept_ns = accept_ns;
+                p_decode_ns = decode_ns;
+                enq_ns = Timer.now_ns ();
+              }
+            in
+            if Batcher.push t.batcher p then
+              Metrics.gauge_set (metrics t) "server/queue_depth" (Batcher.depth t.batcher)
+            else
+              reject ~config:(Rconfig.to_string pcfg) ~decode_ns "queue_rejected"
+                Wire.Rejected "server request queue full")
+
+(* Handle every whole frame in [c]'s input; keep the partial tail. Each
+   payload is a fresh string: the request views borrow it. *)
+let split_input t c =
+  let rec go pos =
+    if c.reading then
+      match Wire.split_frame c.inbuf ~pos ~len:(c.in_len - pos) with
+      | Ok (version, kind, payload, used) ->
+          handle_frame t c ~version ~kind payload;
+          go (pos + used)
+      | Error `Incomplete when pos = 0 -> ()
+      | Error `Incomplete ->
+          Bytes.blit c.inbuf pos c.inbuf 0 (c.in_len - pos);
+          c.in_len <- c.in_len - pos
+      | Error (`Malformed _) ->
+          Metrics.incr (ctr t "bad_frames");
+          stop_reading t c
   in
-  loop ()
+  go 0
 
-let deregister t cid =
-  Mutex.lock t.conns_mutex;
-  Hashtbl.remove t.conns cid;
-  Mutex.unlock t.conns_mutex
+let read_conn t c =
+  if c.in_len = Bytes.length c.inbuf then c.inbuf <- Bytes.extend c.inbuf 0 c.in_len;
+  match Unix.read c.fd c.inbuf c.in_len (Bytes.length c.inbuf - c.in_len) with
+  | 0 ->
+      (* A close between frames is orderly; inside a payload it cuts a
+         frame short. *)
+      if c.in_len >= Wire.header_bytes then Metrics.incr (ctr t "bad_frames");
+      stop_reading t c
+  | n ->
+      c.in_len <- c.in_len + n;
+      split_input t c
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error _ -> stop_reading t c
 
-let conn_thread t conn writer =
-  (try reader_loop t conn with _ -> ());
-  (* Flush whatever the writer still owes this client, then close. *)
-  Mutex.lock conn.out_mutex;
-  conn.out_closed <- true;
-  Condition.broadcast conn.out_cond;
-  Mutex.unlock conn.out_mutex;
-  Thread.join writer;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  deregister t conn.cid;
-  Metrics.incr (ctr t "connections_closed");
-  Metrics.gauge_set (metrics t) "server/connections" (connections t)
+(* [Unix.select] fails with EINVAL on a descriptor at or past FD_SETSIZE. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | exception Unix.Unix_error _ -> true
 
-let register_conn t fd =
-  Trace.with_span "server.accept" @@ fun () ->
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  (* Bound the damage of a client that stops reading: writes give up after
-     5 s instead of parking the writer thread forever. *)
-  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0 with Unix.Unix_error _ -> ());
-  let conn =
-    {
-      cid = Atomic.fetch_and_add t.next_cid 1;
-      fd;
-      out = Queue.create ();
-      out_mutex = Mutex.create ();
-      out_cond = Condition.create ();
-      out_limit = 4 * t.cfg.max_pending;
-      out_closed = false;
-      dead = false;
-    }
-  in
-  let writer = Thread.create writer_loop conn in
-  let reader = Thread.create (fun () -> conn_thread t conn writer) () in
-  Mutex.lock t.conns_mutex;
-  Hashtbl.replace t.conns conn.cid (conn, reader);
-  Mutex.unlock t.conns_mutex;
-  Metrics.incr (ctr t "connections_accepted");
-  Metrics.gauge_set (metrics t) "server/connections" (connections t)
+let accept_conn t lfd =
+  match Unix.accept lfd with
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ when not (selectable fd) ->
+      (* A connection the loop could not watch is refused: this bounds
+         how many a peer can hold open. *)
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Metrics.incr (ctr t "connections_refused")
+  | fd, _ ->
+      Trace.with_span "server.accept" @@ fun () ->
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+      Unix.set_nonblock fd;
+      let c =
+        {
+          cid = t.next_cid;
+          fd;
+          inbuf = Bytes.create 16384;
+          in_len = 0;
+          out = Queue.create ();
+          out_off = 0;
+          reading = true;
+        }
+      in
+      t.next_cid <- t.next_cid + 1;
+      Hashtbl.replace t.conns fd c;
+      Atomic.incr t.conn_count;
+      Metrics.incr (ctr t "connections_accepted");
+      Metrics.gauge_set (metrics t) "server/connections" (connections t)
 
-let acceptor_loop t =
-  let fds = List.map fst t.listeners in
+(* How long the finishing loop keeps flushing replies to connections that
+   do not read them. *)
+let flush_deadline_s = 5.0
+
+let io_loop t =
+  let listening = ref true and replies = Queue.create () and deadline = ref infinity in
+  let pipe_buf = Bytes.create 64 in
+  List.iter (fun (fd, _) -> Unix.set_nonblock fd) t.listeners;
+  let conns () = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   let rec go () =
-    if Atomic.get t.stop_requested then ()
+    (* Read [finishing] before taking the outbox: once it is set, the
+       completer has handed over every reply. *)
+    let finishing = Atomic.get t.finishing in
+    if !listening && Atomic.get t.stop_requested then begin
+      listening := false;
+      close_listeners t.listeners
+    end;
+    Mutex.lock t.outbox_mutex;
+    Queue.transfer t.outbox replies;
+    Mutex.unlock t.outbox_mutex;
+    Queue.iter (fun (c, frame) -> queue_reply t c frame) replies;
+    Queue.clear replies;
+    if finishing && !deadline = infinity then begin
+      deadline := Unix.gettimeofday () +. flush_deadline_s;
+      List.iter (stop_reading t) (conns ())
+    end;
+    List.iter (fun c -> if not (Queue.is_empty c.out) then flush t c) (conns ());
+    if finishing && (Hashtbl.length t.conns = 0 || Unix.gettimeofday () > !deadline) then
+      List.iter (close_conn t) (conns ())
     else begin
       (* Flight dumps happen here, not in the signal handler: SIGUSR1 (and
          the burst trigger) only flip an atomic; the 0.1 s select cadence
@@ -578,13 +607,20 @@ let acceptor_loop t =
         | Ok () -> Metrics.incr (ctr t "flight_dumps")
         | Error _ -> Metrics.incr (ctr t "flight_dump_failures")
       end;
-      (match Unix.select fds [] [] 0.1 with
+      let cs = conns () in
+      let reading = List.filter_map (fun c -> if c.reading then Some c.fd else None) cs in
+      let owed = List.filter_map (fun c -> if Queue.is_empty c.out then None else Some c.fd) cs in
+      let lfds = if !listening then List.map fst t.listeners else [] in
+      (match Unix.select ((t.wake_r :: lfds) @ reading) owed [] 0.1 with
       | readable, _, _ ->
           List.iter
-            (fun lfd ->
-              match Unix.accept lfd with
-              | fd, _ -> register_conn t fd
-              | exception Unix.Unix_error _ -> ())
+            (fun fd ->
+              match Hashtbl.find_opt t.conns fd with
+              | Some c -> if c.reading then read_conn t c
+              | None when fd = t.wake_r -> (
+                  try while Unix.read fd pipe_buf 0 64 = 64 do () done
+                  with Unix.Unix_error _ -> ())
+              | None -> accept_conn t fd)
             readable
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       go ()
@@ -698,53 +734,41 @@ let install_signal_handlers t =
   (try Sys.set_signal Sys.sigterm handle with Invalid_argument _ -> ());
   (try Sys.set_signal Sys.sigint handle with Invalid_argument _ -> ());
   (* SIGUSR1 → flight-recorder dump. Only an atomic store happens in the
-     handler; the acceptor loop writes the file. *)
+     handler; the I/O loop writes the file. *)
   try
     Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> Atomic.set t.dump_flag true))
   with Invalid_argument _ -> ()
 
 (* The drain sequence. Order matters:
-   1. flag draining — readers answer new requests with [Draining];
-   2. stop the acceptor and close the listeners;
+   1. flag draining — the I/O loop answers new requests with [Draining];
+   2. wake the I/O loop, which closes the listeners once it sees the stop;
    3. close the request batcher — the worker flushes the remaining queue
-      (submitting every batch) and exit;
+      (submitting every batch) and exits;
    4. close the completion queue — the completer awaits every
-      outstanding ticket, fans its replies out, and exits;
+      outstanding ticket, hands its replies to the I/O loop, and exits;
    5. drain the service — every admitted chunk has left — and, when the
       server created the service, join its shard worker domains;
-   6. wake the readers (SHUT_RD keeps the write side alive so their
-      writers can still flush), join them; each closes its own socket. *)
+   6. tell the I/O loop to finish: it stops reading, flushes what each
+      connection is owed (for at most [flush_deadline_s]), closes every
+      socket and exits; join it. *)
 let do_stop t =
   Mutex.lock t.stop_mutex;
-  let first = not (Atomic.get t.stopped) in
-  if first then begin
+  if not (Atomic.get t.stopped) then begin
     Atomic.set t.draining true;
     Atomic.set t.stop_requested true;
-    (match t.acceptor with Some th -> Thread.join th | None -> ());
-    List.iter
-      (fun (fd, addr) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Addr.unlink_if_socket addr)
-      t.listeners;
+    wake t;
     Batcher.close t.batcher;
-    (match t.worker with Some th -> Thread.join th | None -> ());
+    Option.iter Thread.join t.worker;
     Batcher.close t.completions;
-    (match t.completer with Some th -> Thread.join th | None -> ());
+    Option.iter Thread.join t.completer;
     if t.owns_srv then Service.shutdown t.srv else Service.drain t.srv;
-    let snapshot =
-      Mutex.lock t.conns_mutex;
-      let l = Hashtbl.fold (fun _ v acc -> v :: acc) t.conns [] in
-      Mutex.unlock t.conns_mutex;
-      l
-    in
-    List.iter
-      (fun (conn, reader) ->
-        (try Unix.shutdown conn.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ());
-        Thread.join reader)
-      snapshot;
+    Atomic.set t.finishing true;
+    wake t;
+    Option.iter Thread.join t.io;
+    List.iter Unix.close [ t.wake_r; t.wake_w ];
     (* The admin endpoint outlives the data plane so /healthz reports the
        drain in progress; it goes down last. *)
-    (match t.admin with Some a -> Admin.stop a | None -> ());
+    Option.iter Admin.stop t.admin;
     Atomic.set t.stopped true
   end;
   Mutex.unlock t.stop_mutex
@@ -772,13 +796,9 @@ let start ?service cfg =
       | [] -> Ok (List.rev acc)
       | a :: rest -> (
           match Addr.listen a with
-          | Ok (fd, bound) -> bind ((fd, bound) :: acc) rest
+          | Ok l -> bind (l :: acc) rest
           | Error msg ->
-              List.iter
-                (fun (fd, b) ->
-                  (try Unix.close fd with Unix.Unix_error _ -> ());
-                  Addr.unlink_if_socket b)
-                acc;
+              close_listeners acc;
               Error msg)
     in
     match bind [] cfg.addrs with
@@ -789,6 +809,9 @@ let start ?service cfg =
           | Some s -> (s, false)
           | None -> (Service.create ~shards:cfg.shards (), true)
         in
+        let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+        Unix.set_nonblock wake_r;
+        Unix.set_nonblock wake_w;
         let t =
           {
             cfg;
@@ -804,14 +827,18 @@ let start ?service cfg =
             listeners;
             stop_requested = Atomic.make false;
             draining = Atomic.make false;
+            finishing = Atomic.make false;
             stopped = Atomic.make false;
             conns = Hashtbl.create 32;
-            conns_mutex = Mutex.create ();
-            next_cid = Atomic.make 1;
+            conn_count = Atomic.make 0;
+            next_cid = 1;
             interned = Hashtbl.create 16;
-            intern_mutex = Mutex.create ();
+            outbox = Queue.create ();
+            outbox_mutex = Mutex.create ();
+            wake_r;
+            wake_w;
             stop_mutex = Mutex.create ();
-            acceptor = None;
+            io = None;
             worker = None;
             completer = None;
             flight = Flight.create ~capacity:cfg.flight_capacity ();
@@ -835,16 +862,13 @@ let start ?service cfg =
         in
         (match admin_ok with
         | Error msg ->
-            List.iter
-              (fun (fd, b) ->
-                (try Unix.close fd with Unix.Unix_error _ -> ());
-                Addr.unlink_if_socket b)
-              listeners;
+            close_listeners listeners;
+            List.iter Unix.close [ wake_r; wake_w ];
             if owns_srv then Service.shutdown srv;
             Error msg
         | Ok () ->
             t.worker <- Some (Thread.create worker_loop t);
             t.completer <- Some (Thread.create completer_loop t);
-            t.acceptor <- Some (Thread.create acceptor_loop t);
+            t.io <- Some (Thread.create io_loop t);
             Ok t)
   end

@@ -7,16 +7,25 @@
     and one metrics registry.
 
     Thread architecture (OS threads; the compute parallelism lives in the
-    service's shard worker {e domains} and the wavefront tier):
+    service's shard worker {e domains} and the wavefront tier). The
+    count is fixed, whatever the number of connections:
 
-    - {b acceptor} — one thread [select]ing over the listeners, so a stop
-      request is noticed within ~100 ms without signals-in-syscalls games;
-    - {b connection readers} — one per connection, blocking on frame
-      reads; decoded requests are pushed into the shared {!Batcher}. A
-      malformed frame costs exactly that connection. Config decoding
-      happens here, against an interning table, so every distinct wire
-      configuration maps to one physical [Config.t] and the
-      specialization caches stay warm across connections;
+    - {b I/O thread} — one [select] loop (0.1 s timeout, so a stop
+      request is noticed without signals-in-syscalls games) over the
+      listeners, every connection, and a self-pipe the reply path writes
+      to. Sockets are non-blocking. It accepts connections, reads and
+      splits frames ({!Anyseq_client.Wire.split_frame}) and pushes the
+      decoded requests into the shared {!Batcher}. A malformed frame
+      costs exactly that connection. Config decoding happens here,
+      against an interning table, so every distinct wire configuration
+      maps to one physical [Config.t] and the specialization caches stay
+      warm across connections. It also writes every reply, from a queue
+      per connection: a client that stops reading is cut off once
+      [4 × max_pending] replies wait for it
+      ([server/slow_consumer_drops]), never stalling anyone else. A
+      connection whose descriptor [select] cannot watch (at or past
+      [FD_SETSIZE]) is closed at accept and counted in
+      [server/connections_refused];
     - {b dispatch worker} — one thread looping
       [Batcher.next_batch] → parse → [Service.submit_seqs]. With fewer
       than two batches in flight the batcher hands out whatever is
@@ -28,12 +37,11 @@
       queues, so the worker forms the next batch while the shards
       execute this one;
     - {b completer} — one thread popping tickets off a completion queue
-      in submission order, [Service.await]ing each and fanning its
-      replies out;
-    - {b connection writers} — one per connection draining a bounded
-      reply queue, so one slow client never stalls the completer (an
-      over-full reply queue or a 5 s send timeout kills that connection
-      only).
+      in submission order, [Service.await]ing each and handing its
+      replies to the I/O thread.
+
+    Besides these three run the {!Admin} listener's thread, when one is
+    configured, and at most one window ticker per {!Batcher}.
 
     Request deadlines propagate: a request's [timeout_s], minus the time
     it spent queued here, becomes the [Service.job] deadline.
@@ -41,8 +49,8 @@
     {b Graceful drain} (SIGTERM/SIGINT via {!install_signal_handlers}, or
     {!stop}): stop accepting connections, answer new requests with
     [Draining], flush every already-accepted request through the service,
-    deliver all replies, then close. Accepted requests are never
-    dropped.
+    deliver all replies (for at most 5 s to a client that does not read
+    them), then close. Accepted requests are never dropped.
 
     {b Observability.} Every request is stamped at accept, decode,
     enqueue, submit, done and reply; the deltas feed the five

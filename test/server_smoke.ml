@@ -4,7 +4,8 @@
    Starts a real server on a Unix socket, drives single and pipelined
    loads through the client library, and asserts every answer is
    byte-identical to a direct Anyseq.align call — then drains gracefully
-   and checks nothing was dropped. Functional assertions only; no timing
+   and checks nothing was dropped, every connection was closed, and every
+   server thread was joined. Functional assertions only; no timing
    thresholds (CI machines are noisy). *)
 
 module Wire = Anyseq.Wire
@@ -28,6 +29,17 @@ let random_pairs ~seed ~count ~max_len =
   Array.init count (fun _ ->
       let dna n = String.init n (fun _ -> "ACGTN".[Rng.int rng 5]) in
       (dna (1 + Rng.int rng max_len), dna (1 + Rng.int rng max_len)))
+
+let process_threads () =
+  let ic = open_in "/proc/self/status" in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let rec find () =
+    let line = input_line ic in
+    if String.starts_with ~prefix:"Threads:" line then
+      int_of_string (String.trim (String.sub line 8 (String.length line - 8)))
+    else find ()
+  in
+  find ()
 
 let configs =
   [
@@ -58,6 +70,11 @@ let () =
   in
   let addr = Addr.Unix_socket path in
   let cfg = Server.default_config ~addrs:[ addr ] () in
+  (* The runtime starts helper threads of its own, once, with the first
+     thread and the first domain; start them before the baseline. *)
+  Thread.join (Thread.create ignore ());
+  Domain.join (Domain.spawn ignore);
+  let threads_before = process_threads () in
   let srv =
     match Server.start cfg with
     | Ok s -> s
@@ -128,6 +145,25 @@ let () =
   let get name = Option.value ~default:0 (Anyseq.Metrics.find m name) in
   check "every accepted request replied"
     (get "server/requests_received" = get "server/requests_replied");
+  checkf "connections" "accepted %d, closed %d" (get "server/connections_accepted")
+    (get "server/connections_closed")
+    (get "server/connections_accepted" = get "server/connections_closed");
+  checkf "connections" "refused %d" (get "server/connections_refused")
+    (get "server/connections_refused" = 0);
+  (* The I/O, worker and completer threads are joined by the drain; a
+     batcher's window ticker exits on its own once it sees the close. (The
+     baseline may still count the warm-up domain's thread as it exits.) *)
+  let rec settle tries =
+    let n = process_threads () in
+    if n <= threads_before || tries = 0 then n
+    else begin
+      Thread.delay 0.01;
+      settle (tries - 1)
+    end
+  in
+  let threads_after = settle 500 in
+  checkf "threads" "%d before start, %d after the drain" threads_before threads_after
+    (threads_after <= threads_before);
   if !failures > 0 then begin
     Printf.eprintf "server-smoke: %d failure(s)\n" !failures;
     exit 1

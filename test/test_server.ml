@@ -189,6 +189,49 @@ let test_wire_fuzz () =
     let s = String.init len (fun _ -> Char.chr (Rng.int rng 256)) in
     match Wire.decode_frame s with
     | Ok _ | Error `Incomplete | Error (`Malformed _) -> ()
+  done;
+  (* Streams, as socket reads deliver them: bytes arrive in random-sized
+     chunks and [split_frame] runs after each one, from wherever the last
+     whole frame ended. Returns the frames split off, as (kind, payload),
+     and whether the stream ended malformed. *)
+  let split_stream stream =
+    let n = String.length stream in
+    let buf = Bytes.create n and len = ref 0 and pos = ref 0 in
+    let frames = ref [] and malformed = ref false in
+    while (not !malformed) && !len < n do
+      let k = min (1 + Rng.int rng 40) (n - !len) in
+      Bytes.blit_string stream !len buf !len k;
+      len := !len + k;
+      let rec split () =
+        match Wire.split_frame buf ~pos:!pos ~len:(!len - !pos) with
+        | Ok (version, kind, payload, used) ->
+            (match Wire.decode_payload ~version ~kind payload with Ok _ | Error _ -> ());
+            frames := (kind, payload) :: !frames;
+            pos := !pos + used;
+            split ()
+        | Error `Incomplete -> ()
+        | Error (`Malformed _) -> malformed := true
+      in
+      split ()
+    done;
+    (List.rev !frames, !malformed)
+  in
+  for _ = 1 to 300 do
+    let picked = List.init (1 + Rng.int rng 6) (fun _ -> frames.(Rng.int rng (Array.length frames))) in
+    let expected =
+      let h = Wire.header_bytes in
+      List.map (fun f -> (Char.code f.[3], String.sub f h (String.length f - h))) picked
+    in
+    let stream = String.concat "" picked in
+    let got, malformed = split_stream stream in
+    Alcotest.(check bool) "valid stream not malformed" false malformed;
+    Alcotest.(check (list (pair int string))) "chunked frames, in order" expected got;
+    (* the same stream mutated: Ok, Incomplete or Malformed, never a raise *)
+    let b = Bytes.of_string stream in
+    for _ = 1 to 1 + Rng.int rng 4 do
+      Bytes.set b (Rng.int rng (Bytes.length b)) (Char.chr (Rng.int rng 256))
+    done;
+    ignore (split_stream (Bytes.to_string b))
   done
 
 let test_wire_resolve () =
@@ -649,6 +692,138 @@ let test_loopback_drain_under_load_sharded () =
     (get "server/requests_replied")
 
 (* ------------------------------------------------------------------ *)
+(* Bounds: threads, descriptors, slow consumers                        *)
+(* ------------------------------------------------------------------ *)
+
+let process_threads () =
+  let ic = open_in "/proc/self/status" in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let rec find () =
+    let line = input_line ic in
+    if String.starts_with ~prefix:"Threads:" line then
+      int_of_string (String.trim (String.sub line 8 (String.length line - 8)))
+    else find ()
+  in
+  find ()
+
+let eventually ?(within = 5.0) what cond =
+  let t0 = Unix.gettimeofday () in
+  let rec poll () =
+    if not (cond ()) then
+      if Unix.gettimeofday () -. t0 > within then
+        Alcotest.failf "%s: not within %.0f s" what within
+      else begin
+        Thread.delay 0.005;
+        poll ()
+      end
+  in
+  poll ()
+
+let metric srv name = Option.value ~default:0 (Anyseq.Metrics.find (Server.metrics srv) name)
+
+let connect_ok addr =
+  match Client.connect addr with Ok c -> c | Error m -> Alcotest.failf "connect: %s" m
+
+let check_direct what conn (query, subject) =
+  let config = Wire.default_config in
+  let rconfig = Result.get_ok (Wire.resolve_config config) in
+  match (Client.align conn ~config ~query ~subject (), Anyseq.align ~config:rconfig ~query ~subject) with
+  | Ok remote, Ok local -> Alcotest.(check int) what local.Anyseq.score remote.Client.score
+  | Error e, _ -> Alcotest.failf "%s: %s" what (Client.error_to_string e)
+  | Ok _, Error e -> Alcotest.failf "%s: direct failed: %s" what (Anyseq.Error.to_string e)
+
+(* Connections cost no threads: a hundred of them, each answered, leave
+   the count where it was, give or take the batchers' window tickers. *)
+let test_threads_stay_flat () =
+  with_server @@ fun srv addr ->
+  let before = process_threads () in
+  let conns = List.init 100 (fun _ -> connect_ok addr) in
+  List.iteri (fun i c -> check_direct (Printf.sprintf "connection %d" i) c ("ACGTTA", "ACGTA")) conns;
+  let during = process_threads () in
+  Alcotest.(check bool)
+    (Printf.sprintf "threads %d -> %d with 100 connections" before during)
+    true (during <= before + 2);
+  Alcotest.(check int) "all open" 100 (Server.connections srv);
+  List.iter Client.close conns;
+  eventually "connections closed" (fun () -> Server.connections srv = 0);
+  Alcotest.(check int) "connections gauge" 0 (metric srv "server/connections")
+
+(* [Unix.select] cannot watch a descriptor at or past FD_SETSIZE: such a
+   connection is closed at accept and counted, and everyone else is still
+   served. *)
+let test_select_limit () =
+  with_server @@ fun srv addr ->
+  let held = connect_ok addr in
+  Fun.protect ~finally:(fun () -> Client.close held) @@ fun () ->
+  check_direct "before" held ("ACGTACGT", "ACGACGT");
+  (* Fill the descriptor table below the limit: open /dev/null until one
+     lands past it, then free that one for the next socket. *)
+  let dummies = ref [] in
+  let rec fill () =
+    let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+    match Unix.select [ fd ] [] [] 0.0 with
+    | _ ->
+        dummies := fd :: !dummies;
+        fill ()
+    | exception Unix.Unix_error (Unix.EINVAL, _, _) -> Unix.close fd
+  in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close !dummies) (fun () ->
+      fill ();
+      let late = connect_ok addr in
+      Fun.protect ~finally:(fun () -> Client.close late) @@ fun () ->
+      eventually "refusal counted" (fun () -> metric srv "server/connections_refused" = 1);
+      match Client.align late ~query:"ACGT" ~subject:"ACGT" () with
+      | Ok _ -> Alcotest.fail "a connection past the select limit was served"
+      | Error _ -> ());
+  check_direct "after" held ("TTACGTAC", "TACGTAC");
+  Alcotest.(check int) "one connection open" 1 (Server.connections srv)
+
+(* A client that pipelines and never reads is cut off once its replies
+   pile up; others keep their answers. A client owed a reply larger than
+   the socket buffer holds does not hold up [Server.stop] beyond the
+   flush deadline. *)
+let test_slow_consumer () =
+  let path = fresh_socket_path () in
+  let addr = Addr.Unix_socket path in
+  let cfg = { (Server.default_config ~addrs:[ addr ] ()) with Server.max_pending = 4 } in
+  let srv = match Server.start cfg with Ok s -> s | Error m -> Alcotest.failf "%s" m in
+  let raw () = match Addr.connect addr with Ok fd -> fd | Error m -> Alcotest.failf "%s" m in
+  let request ?(config = Wire.default_config) i =
+    Wire.encode_request
+      { Wire.id = Int64.of_int i; config; timeout_s = None; query = "ACGTACGTAC";
+        subject = "ACGTTACGTA"; trace = None }
+  in
+  let stuck = raw () in
+  let flood =
+    Thread.create
+      (fun () ->
+        let rec go i =
+          if i < 100_000 then
+            match Wire.write_frame stuck (request i) with Ok () -> go (i + 1) | Error _ -> ()
+        in
+        go 0)
+      ()
+  in
+  eventually "slow consumer dropped" (fun () -> metric srv "server/slow_consumer_drops" >= 1);
+  Thread.join flood;
+  let other = connect_ok addr in
+  let pairs = random_dna_pairs ~seed:31 ~count:16 ~max_len:60 in
+  Array.iteri (fun i pair -> check_direct (Printf.sprintf "other, pair %d" i) other pair) pairs;
+  Client.close other;
+  (* One reply bigger than any socket buffer: the error message echoes a
+     1 MB scheme name. *)
+  let owed = raw () in
+  let huge = { Wire.default_config with scheme = Wire.Named (String.make 1_000_000 'x') } in
+  ignore (Wire.write_frame owed (request ~config:huge 1));
+  eventually "huge reply queued" (fun () -> metric srv "server/bad_requests" >= 1);
+  let t0 = Unix.gettimeofday () in
+  Server.stop srv;
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "stop took %.1f s" took) true (took < 10.0);
+  Alcotest.(check int) "no connection left" 0 (Server.connections srv);
+  List.iter Unix.close [ stuck; owed ]
+
+(* ------------------------------------------------------------------ *)
 (* Observability: trace context, flight recorder, admin endpoint       *)
 (* ------------------------------------------------------------------ *)
 
@@ -684,11 +859,12 @@ let test_wire_mixed_version () =
       Alcotest.(check string) "query survives v1" traced.Wire.query r.Wire.query;
       Alcotest.(check bool) "v1 drops trace" true (r.Wire.trace = None)
   | Wire.Reply _ -> Alcotest.fail "request decoded as reply");
-  (match Wire.decode_header (String.sub v1_frame 0 8) with
-  | Ok (version, kind, _) ->
+  (match Wire.split_frame (Bytes.of_string v1_frame) ~pos:0 ~len:(String.length v1_frame) with
+  | Ok (version, kind, _, _) ->
       Alcotest.(check int) "v1 header version" 1 version;
       Alcotest.(check int) "v1 header kind" Wire.kind_request kind
-  | Error msg -> Alcotest.failf "v1 header rejected: %s" msg);
+  | Error `Incomplete -> Alcotest.fail "v1 frame incomplete"
+  | Error (`Malformed msg) -> Alcotest.failf "v1 header rejected: %s" msg);
   (* encoder refuses versions outside the negotiated range *)
   (match Wire.encode_request ~version:(Wire.protocol_version + 1) traced with
   | _ -> Alcotest.fail "future version encoded"
@@ -952,6 +1128,12 @@ let () =
           Alcotest.test_case "drain under load" `Slow test_loopback_drain_under_load;
           Alcotest.test_case "drain under load, sharded" `Slow
             test_loopback_drain_under_load_sharded;
+        ] );
+      ( "bounds",
+        [
+          Alcotest.test_case "threads stay flat" `Quick test_threads_stay_flat;
+          Alcotest.test_case "select limit" `Quick test_select_limit;
+          Alcotest.test_case "slow consumer" `Slow test_slow_consumer;
         ] );
       ( "observability",
         [

@@ -98,6 +98,17 @@ let backend_t =
 
 let json_t = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
 
+module J = Anyseq.Jsonv
+
+(* A --json result: one object on one line. *)
+let print_json members = print_endline (J.to_string (Obj members))
+
+(* The [errors] member of a --json result: count per error kind, absent
+   when there were none. *)
+let errors_member name = function
+  | [] -> []
+  | errors -> [ ("errors", J.Obj (J.ints (List.map (fun (k, n) -> (name k, n)) errors))) ]
+
 let metrics_t =
   Arg.(value & flag & info [ "metrics" ] ~doc:"Dump the runtime metrics registry at the end.")
 
@@ -191,28 +202,32 @@ let align_cmd =
     in
     (match result with
     | Error e ->
-        if json then
-          Printf.printf "{\"error\":\"%s\"}\n"
-            (Anyseq.Jsonv.escape_string (Anyseq.Error.to_string e))
+        if json then print_json [ ("error", Str (Anyseq.Error.to_string e)) ]
         else Printf.eprintf "error: %s\n" (Anyseq.Error.to_string e);
         exit (exit_code_of_error e)
     | Ok r when json ->
-        let b = Buffer.create 256 in
-        Printf.bprintf b "{\"score\":%d,\"mode\":\"%s\",\"scheme\":\"%s\"" r.Anyseq.score
-          (Anyseq.Alignment.mode_to_string mode)
-          (Anyseq.Jsonv.escape_string (Anyseq.Scheme.to_string scheme));
-        (match r.Anyseq.alignment with
-        | Some a ->
-            Printf.bprintf b
-              ",\"query\":{\"id\":\"%s\",\"start\":%d,\"end\":%d},\"subject\":{\"id\":\"%s\",\"start\":%d,\"end\":%d},\"cigar\":\"%s\""
-              (Anyseq.Jsonv.escape_string q.Anyseq.Fasta.id)
-              a.Anyseq.Alignment.query_start a.Anyseq.Alignment.query_end
-              (Anyseq.Jsonv.escape_string s.Anyseq.Fasta.id)
-              a.Anyseq.Alignment.subject_start a.Anyseq.Alignment.subject_end
-              (Anyseq.Cigar.to_string a.Anyseq.Alignment.cigar)
-        | None -> ());
-        Buffer.add_string b "}";
-        print_endline (Buffer.contents b)
+        let span id start end_ =
+          J.Obj [ ("id", Str id); ("start", Int start); ("end", Int end_) ]
+        in
+        print_json
+          ([
+             ("score", J.Int r.Anyseq.score);
+             ("mode", Str (Anyseq.Alignment.mode_to_string mode));
+             ("scheme", Str (Anyseq.Scheme.to_string scheme));
+           ]
+          @
+          match r.Anyseq.alignment with
+          | Some a ->
+              [
+                ( "query",
+                  span q.Anyseq.Fasta.id a.Anyseq.Alignment.query_start
+                    a.Anyseq.Alignment.query_end );
+                ( "subject",
+                  span s.Anyseq.Fasta.id a.Anyseq.Alignment.subject_start
+                    a.Anyseq.Alignment.subject_end );
+                ("cigar", Str (Anyseq.Cigar.to_string a.Anyseq.Alignment.cigar));
+              ]
+          | None -> [])
     | Ok r -> (
         match r.Anyseq.alignment with
         | None -> Printf.printf "%d\n" r.Anyseq.score
@@ -408,25 +423,17 @@ let batch_cmd =
     let ok, errors = summarize_errors results in
     let cs = Anyseq.Service.cache_stats service in
     let hit_rate = Anyseq.Spec_cache.hit_rate cs in
-    if json then begin
-      Printf.printf
-        "{\"pairs\":%d,\"ok\":%d,\"seconds\":%.6f,\"gcups\":%.4f,\"cache_hit_rate\":%.4f,\"config\":\"%s\""
-        (Array.length pairs) ok dt
-        (Anyseq_util.Timer.gcups ~cells ~seconds:dt)
-        hit_rate
-        (Anyseq.Jsonv.escape_string (Anyseq.Config.to_string config));
-      if errors <> [] then begin
-        print_string ",\"errors\":{";
-        List.iteri
-          (fun i (k, v) ->
-            Printf.printf "%s\"%s\":%d"
-              (if i > 0 then "," else "")
-              (Anyseq.Jsonv.escape_string k) v)
-          errors;
-        print_string "}"
-      end;
-      print_endline "}"
-    end
+    if json then
+      print_json
+        ([
+           ("pairs", J.Int (Array.length pairs));
+           ("ok", Int ok);
+           ("seconds", Num dt);
+           ("gcups", Num (Anyseq_util.Timer.gcups ~cells ~seconds:dt));
+           ("cache_hit_rate", Num hit_rate);
+           ("config", Str (Anyseq.Config.to_string config));
+         ]
+        @ errors_member (fun k -> k) errors)
     else begin
       Printf.printf "%d pairs (%s), %.3f s, %.3f GCUPS, %d ok, cache hit rate %.1f%%\n"
         (Array.length pairs)
@@ -651,20 +658,19 @@ let client_cmd =
     | Some q, Some s -> (
         match Anyseq.Client.align conn ?timeout_s:timeout ~config ~query:q ~subject:s () with
         | Ok r ->
-            if json then begin
-              let b = Buffer.create 128 in
-              Printf.bprintf b "{\"score\":%d,\"query_end\":%d,\"subject_end\":%d"
-                r.Anyseq.Client.score r.Anyseq.Client.query_end r.Anyseq.Client.subject_end;
-              (match r.Anyseq.Client.cigar with
-              | Some c ->
-                  Printf.bprintf b ",\"cigar\":\"%s\"" (Anyseq.Jsonv.escape_string c)
-              | None -> ());
-              Printf.bprintf b ",\"batch_jobs\":%d,\"queue_us\":%.1f,\"service_us\":%.1f}"
-                r.Anyseq.Client.batch_jobs
-                (Int64.to_float r.Anyseq.Client.queue_ns /. 1e3)
-                (Int64.to_float r.Anyseq.Client.service_ns /. 1e3);
-              print_endline (Buffer.contents b)
-            end
+            if json then
+              print_json
+                ([
+                   ("score", J.Int r.Anyseq.Client.score);
+                   ("query_end", Int r.Anyseq.Client.query_end);
+                   ("subject_end", Int r.Anyseq.Client.subject_end);
+                 ]
+                @ (match r.Anyseq.Client.cigar with Some c -> [ ("cigar", J.Str c) ] | None -> [])
+                @ [
+                    ("batch_jobs", Int r.Anyseq.Client.batch_jobs);
+                    ("queue_us", Num (Int64.to_float r.Anyseq.Client.queue_ns /. 1e3));
+                    ("service_us", Num (Int64.to_float r.Anyseq.Client.service_ns /. 1e3));
+                  ])
             else begin
               Printf.printf "score\t%d\n" r.Anyseq.Client.score;
               Printf.printf "ends\t%d\t%d\n" r.Anyseq.Client.query_end r.Anyseq.Client.subject_end;
@@ -704,23 +710,18 @@ let client_cmd =
               if completed = 0 then 0.0
               else float_of_int st.Anyseq.Client.batch_jobs_sum /. float_of_int completed
             in
-            if json then begin
-              Printf.printf
-                "{\"completed\":%d,\"ok\":%d,\"seconds\":%.6f,\"rps\":%.1f,\"p50_us\":%.0f,\"p99_us\":%.0f,\"mean_batch\":%.2f"
-                completed st.Anyseq.Client.ok dt
-                (float_of_int completed /. dt)
-                (percentile 50.0) (percentile 99.0) mean_batch;
-              if st.Anyseq.Client.errors <> [] then begin
-                print_string ",\"errors\":{";
-                List.iteri
-                  (fun i (code, n) ->
-                    Printf.printf "%s\"%s\":%d" (if i > 0 then "," else "")
-                      (Anyseq.Wire.code_to_string code) n)
-                  st.Anyseq.Client.errors;
-                print_string "}"
-              end;
-              print_endline "}"
-            end
+            if json then
+              print_json
+                ([
+                   ("completed", J.Int completed);
+                   ("ok", Int st.Anyseq.Client.ok);
+                   ("seconds", Num dt);
+                   ("rps", Num (float_of_int completed /. dt));
+                   ("p50_us", Num (percentile 50.0));
+                   ("p99_us", Num (percentile 99.0));
+                   ("mean_batch", Num mean_batch);
+                 ]
+                @ errors_member Anyseq.Wire.code_to_string st.Anyseq.Client.errors)
             else begin
               Printf.printf
                 "%d requests in %.3f s (%.1f req/s), %d ok, p50 %.0f us, p99 %.0f us, mean batch %.2f\n"
@@ -778,7 +779,6 @@ let top_cmd =
           exit exit_invalid_config
     in
     let interval = if interval <= 0.0 then 1.0 else interval in
-    let module J = Anyseq.Jsonv in
     let prev_replied = ref nan in
     let render doc =
       let srv = Option.value ~default:J.Null (J.member "server" doc) in
@@ -817,7 +817,7 @@ let top_cmd =
                     (J.num ~default:0.0 "p99_us" s)
                     (J.num ~default:0.0 "count" s)
               | _ -> Printf.printf "%-9s %10s %10s %10s %12s\n" name "-" "-" "-" "0")
-            [ "decode"; "admit"; "queue"; "execute"; "reply" ]
+            Anyseq.Server.stages
       | None -> ());
       (match Option.bind (J.member "shards" doc) J.to_list with
       | Some (_ :: _ as shards) ->
@@ -1035,32 +1035,7 @@ let network_cmd =
               Printf.eprintf "error: bad --admin address %s: %s\n" addr_s msg;
               exit exit_invalid_config
           | Ok addr -> (
-              let statusz () =
-                let b = Buffer.create 512 in
-                Printf.bprintf b
-                  "{\"server\":{\"uptime_s\":%.1f,\"draining\":false,\"shards\":%d},"
-                  (Unix.gettimeofday () -. started)
-                  (Anyseq.Service.shards service);
-                (match Anyseq.Pipeline.status_json metrics with
-                | Some net -> Printf.bprintf b "\"network\":%s," net
-                | None -> ());
-                Printf.bprintf b "\"build\":{\"ocaml\":\"%s\",\"word_size\":%d}}"
-                  Sys.ocaml_version Sys.word_size;
-                Buffer.contents b
-              in
-              let handler path =
-                match path with
-                | "/metrics" ->
-                    Anyseq.Service.publish_shard_stats service;
-                    Anyseq.Metrics.record_gc metrics;
-                    Anyseq.Admin.ok
-                      ~content_type:"text/plain; version=0.0.4; charset=utf-8"
-                      (Anyseq.Metrics.dump_prometheus metrics)
-                | "/healthz" -> Anyseq.Admin.ok "ok\n"
-                | "/statusz" ->
-                    Anyseq.Admin.ok ~content_type:"application/json" (statusz ())
-                | _ -> None
-              in
+              let handler = Anyseq.Server.service_routes ~started_at:started service in
               match Anyseq.Admin.start ~addr ~handler with
               | Error msg ->
                   Printf.eprintf "error: admin endpoint: %s\n" msg;
@@ -1085,23 +1060,20 @@ let network_cmd =
         exit 1
     | Ok (r : Anyseq.Pipeline.report) ->
         let cs = r.Anyseq.Pipeline.components in
-        if json then begin
-          let b = Buffer.create 512 in
-          Printf.bprintf b
-            "{\"sequences\":%d,\"too_short\":%d,\"pairs_total\":%d,\"pairs_pruned\":%d,\"pairs_aligned\":%d,\"pairs_cutoff\":%d,\"pairs_timeout\":%d,\"pairs_failed\":%d,\"resubmits\":%d,\"topk_evictions\":%d,\"edges\":%d,\"edge_duplicates\":%d,\"spilled_runs\":%d,\"components\":%d,\"clusters\":%d,\"singletons\":%d,\"largest_component\":%d,\"elapsed_s\":%.3f,\"pairs_per_s\":%.1f,\"out\":\"%s\"}"
-            r.Anyseq.Pipeline.sequences r.Anyseq.Pipeline.too_short
-            r.Anyseq.Pipeline.pairs_total r.Anyseq.Pipeline.pairs_pruned
-            r.Anyseq.Pipeline.pairs_aligned r.Anyseq.Pipeline.pairs_cutoff
-            r.Anyseq.Pipeline.pairs_timeout
-            r.Anyseq.Pipeline.pairs_failed r.Anyseq.Pipeline.resubmits
-            r.Anyseq.Pipeline.evictions r.Anyseq.Pipeline.edges
-            r.Anyseq.Pipeline.edge_duplicates r.Anyseq.Pipeline.spilled_runs
-            cs.Anyseq.Components.components cs.Anyseq.Components.clusters
-            cs.Anyseq.Components.singletons cs.Anyseq.Components.largest
-            r.Anyseq.Pipeline.elapsed_s r.Anyseq.Pipeline.pairs_per_s
-            (Anyseq.Jsonv.escape_string out);
-          print_endline (Buffer.contents b)
-        end
+        if json then
+          print_json
+            (J.ints
+               [ ("sequences", r.sequences); ("too_short", r.too_short);
+                 ("pairs_total", r.pairs_total); ("pairs_pruned", r.pairs_pruned);
+                 ("pairs_aligned", r.pairs_aligned); ("pairs_cutoff", r.pairs_cutoff);
+                 ("pairs_timeout", r.pairs_timeout); ("pairs_failed", r.pairs_failed);
+                 ("resubmits", r.resubmits); ("topk_evictions", r.evictions);
+                 ("edges", r.edges); ("edge_duplicates", r.edge_duplicates);
+                 ("spilled_runs", r.spilled_runs); ("components", cs.components);
+                 ("clusters", cs.clusters); ("singletons", cs.singletons);
+                 ("largest_component", cs.largest) ]
+            @ [ ("elapsed_s", Num r.elapsed_s); ("pairs_per_s", Num r.pairs_per_s);
+                ("out", Str out) ])
         else begin
           let total = r.Anyseq.Pipeline.pairs_total in
           Printf.printf "sequences     %d (%d too short for k=%d)\n"

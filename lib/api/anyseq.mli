@@ -102,8 +102,9 @@ module Trace_export = Anyseq_trace.Export
     these. {!Admin} is the server's HTTP/1.0 observability listener
     ([/metrics], [/healthz], [/statusz], [/debug/flight] — enabled with
     [anyseq serve --admin]); {!Flight} its bounded ring of recent
-    per-request records; {!Jsonv} the dependency-free JSON reader
-    [anyseq top] parses [/statusz] with. *)
+    per-request records; {!Jsonv} the dependency-free JSON codec every
+    emitted document is written with and [anyseq top] parses [/statusz]
+    with. *)
 
 module Wire = Anyseq_client.Wire
 module Addr = Anyseq_client.Addr

@@ -7,6 +7,7 @@ module Config = Anyseq_runtime.Config
 module Error = Anyseq_runtime.Error
 module Property = Anyseq_analysis.Property
 module Trace = Anyseq_trace.Trace
+module Jsonv = Anyseq_util.Jsonv
 
 type params = {
   k : int;
@@ -418,13 +419,13 @@ let run ?service ?metrics ?tmp_dir ~out params source =
 (* ---- progress JSON for /statusz and `anyseq top` ---- *)
 
 let status_json m =
-  match Metrics.find m "network/seqs_indexed" with
-  | None -> None
-  | Some seqs ->
-      let v name = Option.value ~default:0 (Metrics.find m ("network/" ^ name)) in
-      Some
-        (Printf.sprintf
-           "{\"phase\":\"%s\",\"seqs_indexed\":%d,\"pairs_total\":%d,\"pairs_pruned\":%d,\"pairs_aligned\":%d,\"pairs_cutoff\":%d,\"pairs_dispatched\":%d,\"edges_written\":%d,\"topk_evictions\":%d,\"components\":%d}"
-           (phase_name (v "phase")) seqs (v "pairs_total") (v "pairs_pruned")
-           (v "pairs_aligned") (v "pairs_cutoff") (v "pairs_dispatched") (v "edges_written")
-           (v "topk_evictions") (v "components"))
+  let v name = Option.value ~default:0 (Metrics.find m ("network/" ^ name)) in
+  Metrics.find m "network/seqs_indexed"
+  |> Option.map (fun _ ->
+         Jsonv.Obj
+           (("phase", Jsonv.Str (phase_name (v "phase")))
+           :: Jsonv.ints
+                (List.map
+                   (fun name -> (name, v name))
+                   [ "seqs_indexed"; "pairs_total"; "pairs_pruned"; "pairs_aligned"; "pairs_cutoff";
+                     "pairs_dispatched"; "edges_written"; "topk_evictions"; "components" ])))

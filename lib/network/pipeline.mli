@@ -109,8 +109,8 @@ val run :
     input-level: unreadable FASTA, bad record, unwritable output, or a
     corrupt spill run ({!Edges.finish}). *)
 
-val status_json : Anyseq_runtime.Metrics.t -> string option
-(** Progress snapshot as one JSON object ([phase], [seqs_indexed],
+val status_json : Anyseq_runtime.Metrics.t -> Anyseq_util.Jsonv.t option
+(** Progress snapshot as one {!Anyseq_util.Jsonv} object ([phase], [seqs_indexed],
     [pairs_total], [pairs_pruned], [pairs_aligned], [pairs_cutoff],
     [pairs_dispatched],
     [edges_written], [topk_evictions], [components]) — [None] until a

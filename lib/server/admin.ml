@@ -32,6 +32,16 @@ let status_text = function
 
 let max_request_bytes = 4096
 
+(* Index of [pat] in [s] at or after [from]. *)
+let find ?(from = 0) s pat =
+  let lp = String.length pat in
+  let rec at i =
+    if i + lp > String.length s then None
+    else if String.sub s i lp = pat then Some i
+    else at (i + 1)
+  in
+  at from
+
 (* Read until the end of the request head (or EOF / timeout / cap). We
    only need the request line; the rest is drained so well-behaved
    clients don't see a reset while the response is in flight. *)
@@ -41,20 +51,16 @@ let read_head fd =
   let rec go () =
     if Buffer.length b >= max_request_bytes then None
     else
-      let contains_end () =
-        let s = Buffer.contents b in
-        let exists pat =
-          let lp = String.length pat and ls = String.length s in
-          let rec at i = i + lp <= ls && (String.sub s i lp = pat || at (i + 1)) in
-          at (max 0 (ls - 512))
-        in
-        exists "\r\n\r\n" || exists "\n\n"
-      in
       match Unix.read fd buf 0 (Bytes.length buf) with
       | 0 -> if Buffer.length b > 0 then Some (Buffer.contents b) else None
       | n ->
+          (* The blank line can straddle two reads: search from 3 bytes
+             before the new chunk. *)
+          let from = max 0 (Buffer.length b - 3) in
           Buffer.add_subbytes b buf 0 n;
-          if contains_end () then Some (Buffer.contents b) else go ()
+          let s = Buffer.contents b in
+          if find ~from s "\r\n\r\n" <> None || find ~from s "\n\n" <> None then Some s
+          else go ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
       | exception Unix.Unix_error (_, _, _) -> None
   in
@@ -173,26 +179,17 @@ let http_get addr path =
           match drain () with
           | () -> (
               let raw = Buffer.contents b in
-              let split_at pat =
-                let lp = String.length pat in
-                let rec at i =
-                  if i + lp > String.length raw then None
-                  else if String.sub raw i lp = pat then Some i
-                  else at (i + 1)
-                in
-                at 0
+              let split pat =
+                Option.map
+                  (fun i ->
+                    let j = i + String.length pat in
+                    (String.sub raw 0 i, String.sub raw j (String.length raw - j)))
+                  (find raw pat)
               in
               let head, body =
-                match split_at "\r\n\r\n" with
-                | Some i ->
-                    (String.sub raw 0 i,
-                     String.sub raw (i + 4) (String.length raw - i - 4))
-                | None -> (
-                    match split_at "\n\n" with
-                    | Some i ->
-                        (String.sub raw 0 i,
-                         String.sub raw (i + 2) (String.length raw - i - 2))
-                    | None -> (raw, ""))
+                match split "\r\n\r\n" with
+                | Some hb -> hb
+                | None -> Option.value (split "\n\n") ~default:(raw, "")
               in
               match String.split_on_char ' ' head with
               | _ :: code :: _ -> (

@@ -7,11 +7,12 @@
     the smallest protocol a Prometheus scraper, a load balancer's health
     check, a browser and [anyseq top] all speak.
 
-    The server mounts [/metrics] (Prometheus text exposition),
-    [/healthz] (drain-aware 200/503), [/statusz] (JSON: shards, cache,
-    tiers, stage latencies, build info) and [/debug/flight] (the flight
-    recorder's ring) on it; the routes live in {!Server} where the state
-    is.
+    {!Server.service_routes} mounts [/metrics] (Prometheus text
+    exposition), [/healthz] (drain-aware 200/503) and [/statusz] (JSON:
+    shards, cache, tiers, network progress, build info) for any
+    service — [anyseq serve --admin] and [anyseq network --admin] both
+    serve them; the server adds stage latencies, request counters and
+    [/debug/flight] (the flight recorder's ring).
 
     Hostile-input posture matches the wire protocol's: a 2 s receive
     timeout, a 4 KiB request cap, and a malformed request costs its own
@@ -33,6 +34,10 @@ val start :
   (t, string) result
 (** Bind [addr] and serve. The handler maps a bare path (query string
     stripped) to a response; [None] renders a 404. *)
+
+val parse_request_line : string -> (string * string) option
+(** [(method, path)] from a request head's first line: [GET] or [HEAD]
+    only, query string stripped. Total: any other input is [None]. *)
 
 val address : t -> Anyseq_client.Addr.t
 (** The bound address (TCP port 0 resolved to the real port). *)

@@ -63,33 +63,31 @@ let snapshot t =
   Mutex.unlock t.lock;
   out
 
-let record_json b r =
-  let stamp name v = Printf.bprintf b "\"%s\":%Ld," name v in
-  Buffer.add_char b '{';
-  Printf.bprintf b "\"rid\":%Ld,\"cid\":%d," r.fr_rid r.fr_cid;
-  Printf.bprintf b "\"config\":\"%s\"," (Jsonv.escape_string r.fr_config);
-  (match r.fr_trace with
-  | Some tid -> Printf.bprintf b "\"trace_id\":\"%016Lx\"," tid
-  | None -> ());
-  stamp "accept_ns" r.fr_accept_ns;
-  stamp "decode_ns" r.fr_decode_ns;
-  stamp "enqueue_ns" r.fr_enqueue_ns;
-  stamp "submit_ns" r.fr_submit_ns;
-  stamp "done_ns" r.fr_done_ns;
-  stamp "reply_ns" r.fr_reply_ns;
-  Printf.bprintf b "\"batch_jobs\":%d,\"outcome\":\"%s\"}" r.fr_batch_jobs
-    (Jsonv.escape_string r.fr_outcome)
+(* Exact while the value fits an OCaml int — stamps always do; a client
+   id beyond 2^62 degrades to the nearest float. *)
+let int64 v =
+  if Int64.of_int (Int64.to_int v) = v then Jsonv.Int (Int64.to_int v) else Num (Int64.to_float v)
+
+let record_json r =
+  Jsonv.Obj
+    ([ ("rid", int64 r.fr_rid); ("cid", Int r.fr_cid); ("config", Str r.fr_config) ]
+    @ (match r.fr_trace with
+      | Some tid -> [ ("trace_id", Jsonv.Str (Printf.sprintf "%016Lx" tid)) ]
+      | None -> [])
+    @ [
+        ("accept_ns", int64 r.fr_accept_ns);
+        ("decode_ns", int64 r.fr_decode_ns);
+        ("enqueue_ns", int64 r.fr_enqueue_ns);
+        ("submit_ns", int64 r.fr_submit_ns);
+        ("done_ns", int64 r.fr_done_ns);
+        ("reply_ns", int64 r.fr_reply_ns);
+        ("batch_jobs", Int r.fr_batch_jobs);
+        ("outcome", Str r.fr_outcome);
+      ])
 
 let to_json records =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"records\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '\n';
-      record_json b r)
-    records;
-  Buffer.add_string b "\n]}\n";
+  Jsonv.rows_to_buffer b "records" record_json records;
   Buffer.contents b
 
 let dump t ~path =

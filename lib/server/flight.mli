@@ -48,8 +48,9 @@ val snapshot : t -> record list
     records. *)
 
 val to_json : record list -> string
-(** [{"records":[…]}]; stage stamps as raw nanosecond integers, trace
-    ids in the 16-hex-digit form span attributes use. *)
+(** [{"records":[…]}], one {!Anyseq_util.Jsonv} record per line; stage
+    stamps as exact nanosecond integers ([Jsonv.Int]), trace ids in the
+    16-hex-digit form span attributes use. *)
 
 val dump : t -> path:string -> (unit, string) result
 (** Write [to_json (snapshot t)] to [path]. *)

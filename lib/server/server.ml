@@ -10,6 +10,7 @@ module Cigar = Anyseq_bio.Cigar
 module Alignment = Anyseq_bio.Alignment
 module Sequence = Anyseq_bio.Sequence
 module Scheme = Anyseq_scoring.Scheme
+module Jsonv = Anyseq_util.Jsonv
 
 type config = {
   addrs : Addr.t list;
@@ -630,100 +631,104 @@ let io_loop t =
 
 (* ---- admin endpoint ---- *)
 
-let draining_now t = Atomic.get t.draining || Service.is_draining t.srv
+let stages = [ "decode"; "admit"; "queue"; "execute"; "reply" ]
 
-(* /statusz: the dashboard snapshot [anyseq top] polls — one JSON object
-   built straight off the registry and the service's stat snapshots. *)
-let statusz_json t =
-  let m = metrics t in
-  let b = Buffer.create 4096 in
-  let c name = match Metrics.find m name with Some v -> v | None -> 0 in
-  Printf.bprintf b
-    "{\"server\":{\"protocol_version\":%d,\"min_protocol_version\":%d,\"uptime_s\":%.1f,\"draining\":%b,\"connections\":%d,\"dispatch_queue\":%d,\"shards\":%d},"
-    Wire.protocol_version Wire.min_protocol_version
-    (Unix.gettimeofday () -. t.started_at)
-    (draining_now t) (connections t) (Batcher.depth t.batcher)
-    (Service.shards t.srv);
-  Printf.bprintf b
-    "\"requests\":{\"received\":%d,\"replied\":%d,\"bad\":%d,\"queue_rejected\":%d,\"draining_rejected\":%d,\"replies_dropped\":%d},"
-    (c "server/requests_received") (c "server/requests_replied")
-    (c "server/bad_requests") (c "server/queue_rejected")
-    (c "server/draining_rejected") (c "server/replies_dropped");
-  Buffer.add_string b "\"shards\":[";
-  Array.iteri
-    (fun i (s : Service.shard_stat) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"shard\":%d,\"jobs\":%d,\"queued\":%d,\"in_flight\":%d,\"enqueued\":%d,\"run_local\":%d,\"steals\":%d,\"stolen_from\":%d,\"minor_words\":%.0f}"
-        s.Service.ss_shard s.Service.ss_jobs s.Service.ss_queued
-        s.Service.ss_in_flight s.Service.ss_enqueued s.Service.ss_run_local
-        s.Service.ss_steals s.Service.ss_stolen_from s.Service.ss_worker_minor_words)
-    (Service.shard_stats t.srv);
-  Buffer.add_string b "],";
-  let cs = Service.cache_stats t.srv in
-  Printf.bprintf b
-    "\"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"size\":%d,\"capacity\":%d},"
-    cs.Anyseq_runtime.Spec_cache.hits cs.Anyseq_runtime.Spec_cache.misses
-    cs.Anyseq_runtime.Spec_cache.evictions cs.Anyseq_runtime.Spec_cache.size
-    cs.Anyseq_runtime.Spec_cache.capacity;
-  Buffer.add_string b "\"tiers\":{";
-  List.iteri
-    (fun i (tier, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\":%d" tier n)
-    (Service.tier_counts t.srv);
-  Buffer.add_string b "},";
-  Buffer.add_string b "\"stages\":{";
-  List.iteri
-    (fun i stage ->
-      if i > 0 then Buffer.add_char b ',';
-      match Metrics.find_hist m ("server/stage_" ^ stage ^ "_us") with
-      | Some h ->
-          Printf.bprintf b
-            "\"%s\":{\"count\":%d,\"p50_us\":%.0f,\"p90_us\":%.0f,\"p99_us\":%.0f,\"max_us\":%d}"
-            stage (Metrics.hist_count h)
-            (Metrics.hist_quantile h 0.50)
-            (Metrics.hist_quantile h 0.90)
-            (Metrics.hist_quantile h 0.99)
-            (Metrics.hist_max h)
-      | None -> Printf.bprintf b "\"%s\":{\"count\":0}" stage)
-    [ "decode"; "admit"; "queue"; "execute"; "reply" ];
-  Buffer.add_string b "},";
-  Printf.bprintf b
-    "\"flight\":{\"capacity\":%d,\"recorded\":%d,\"dumps\":%d,\"burst_triggers\":%d},"
-    (Flight.capacity t.flight) (Flight.recorded t.flight) (c "server/flight_dumps")
-    (c "server/flight_burst_triggers");
-  (* A network pipeline run embedded against this registry exposes its
-     phase progress; absent counters render nothing. (The CLI's
-     [network --admin] does not use this renderer: it serves its own
-     /statusz built from the same [Pipeline.status_json].) *)
-  (match Anyseq_network.Pipeline.status_json m with
-  | Some net -> Printf.bprintf b "\"network\":%s," net
-  | None -> ());
-  Printf.bprintf b "\"build\":{\"ocaml\":\"%s\",\"word_size\":%d}}"
-    Sys.ocaml_version Sys.word_size;
-  Buffer.contents b
-
-let admin_handler t path =
+let service_routes ?(draining = fun () -> false) ?(server = fun () -> [])
+    ?(status = fun () -> []) ~started_at srv path =
+  let m = Service.metrics srv in
+  let draining () = draining () || Service.is_draining srv in
   match path with
   | "/metrics" ->
       (* Refresh scrape-time state so the exposition is a consistent
          snapshot: per-shard gauges match a concurrent [shard_stats], GC
          gauges match the live heap. *)
-      Service.publish_shard_stats t.srv;
-      Metrics.record_gc (metrics t);
-      Admin.ok
-        ~content_type:"text/plain; version=0.0.4; charset=utf-8"
-        (Metrics.dump_prometheus (metrics t))
+      Service.publish_shard_stats srv;
+      Metrics.record_gc m;
+      Admin.ok ~content_type:"text/plain; version=0.0.4; charset=utf-8"
+        (Metrics.dump_prometheus m)
   | "/healthz" ->
-      if draining_now t then
+      if draining () then
         Some { Admin.status = 503; content_type = "text/plain"; body = "draining\n" }
       else Admin.ok "ok\n"
-  | "/statusz" -> Admin.ok ~content_type:"application/json" (statusz_json t)
-  | "/debug/flight" ->
-      Admin.ok ~content_type:"application/json"
-        (Flight.to_json (Flight.snapshot t.flight))
+  | "/statusz" ->
+      let shard (s : Service.shard_stat) =
+        Jsonv.Obj
+          (Jsonv.ints
+             [ ("shard", s.ss_shard); ("jobs", s.ss_jobs); ("queued", s.ss_queued);
+               ("in_flight", s.ss_in_flight); ("enqueued", s.ss_enqueued);
+               ("run_local", s.ss_run_local); ("steals", s.ss_steals);
+               ("stolen_from", s.ss_stolen_from);
+               ("minor_words", Float.to_int s.ss_worker_minor_words) ])
+      in
+      let cs = Service.cache_stats srv in
+      let uptime_s = Unix.gettimeofday () -. started_at in
+      let fields =
+        [ ("uptime_s", Jsonv.Num uptime_s); ("draining", Bool (draining ()));
+          ("shards", Int (Service.shards srv)) ]
+        @ server ()
+      in
+      let network =
+        Option.fold ~none:[] ~some:(fun net -> [ ("network", net) ])
+          (Anyseq_network.Pipeline.status_json m)
+      in
+      Jsonv.to_string
+        (Obj
+           ((("server", Jsonv.Obj fields) :: status ())
+           @ [ ("shards", Jsonv.List (List.map shard (Array.to_list (Service.shard_stats srv))));
+               ( "cache",
+                 Obj
+                   (Jsonv.ints
+                      [ ("hits", cs.hits); ("misses", cs.misses); ("evictions", cs.evictions);
+                        ("size", cs.size); ("capacity", cs.capacity) ]) );
+               ("tiers", Obj (Jsonv.ints (Service.tier_counts srv))) ]
+           @ network
+           @ [ ("build", Obj [ ("ocaml", Str Sys.ocaml_version); ("word_size", Int Sys.word_size) ])
+             ]))
+      |> Admin.ok ~content_type:"application/json"
   | _ -> None
+
+(* The server's own /statusz members and routes on top of [service_routes]:
+   request counters, stage latencies, the flight ring, and its connection
+   and queue fields. *)
+let admin_handler t path =
+  let m = metrics t in
+  let c name = Option.value ~default:0 (Metrics.find m ("server/" ^ name)) in
+  let stage name =
+    match Metrics.find_hist m ("server/stage_" ^ name ^ "_us") with
+    | Some h ->
+        let q p = Jsonv.Num (Metrics.hist_quantile h p) in
+        ( name,
+          Jsonv.Obj
+            [ ("count", Int (Metrics.hist_count h)); ("p50_us", q 0.50); ("p90_us", q 0.90);
+              ("p99_us", q 0.99); ("max_us", Int (Metrics.hist_max h)) ] )
+    | None -> (name, Jsonv.Obj (Jsonv.ints [ ("count", 0) ]))
+  in
+  let server () =
+    [ ("protocol_version", Jsonv.Int Wire.protocol_version);
+      ("min_protocol_version", Int Wire.min_protocol_version);
+      ("connections", Int (connections t)); ("dispatch_queue", Int (Batcher.depth t.batcher)) ]
+  in
+  let status () =
+    [ ( "requests",
+        Jsonv.Obj
+          (Jsonv.ints
+             [ ("received", c "requests_received"); ("replied", c "requests_replied");
+               ("bad", c "bad_requests"); ("queue_rejected", c "queue_rejected");
+               ("draining_rejected", c "draining_rejected");
+               ("replies_dropped", c "replies_dropped") ]) );
+      ("stages", Obj (List.map stage stages));
+      ( "flight",
+        Obj
+          (Jsonv.ints
+             [ ("capacity", Flight.capacity t.flight); ("recorded", Flight.recorded t.flight);
+               ("dumps", c "flight_dumps"); ("burst_triggers", c "flight_burst_triggers") ]) ) ]
+  in
+  match path with
+  | "/debug/flight" ->
+      Admin.ok ~content_type:"application/json" (Flight.to_json (Flight.snapshot t.flight))
+  | _ ->
+      service_routes ~draining:(fun () -> Atomic.get t.draining) ~server ~status
+        ~started_at:t.started_at t.srv path
 
 (* ---- lifecycle ---- *)
 

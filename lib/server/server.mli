@@ -117,6 +117,35 @@ val flight : t -> Flight.t
 val admin_address : t -> Addr.t option
 (** The admin listener's bound address, when one was configured. *)
 
+val stages : string list
+(** The request stages in order — [decode], [admit], [queue], [execute],
+    [reply] — as named in the [server/stage_<name>_us] histograms and
+    the [stages] member of [/statusz]. *)
+
+val service_routes :
+  ?draining:(unit -> bool) ->
+  ?server:(unit -> (string * Anyseq_util.Jsonv.t) list) ->
+  ?status:(unit -> (string * Anyseq_util.Jsonv.t) list) ->
+  started_at:float ->
+  Anyseq_runtime.Service.t ->
+  string ->
+  Admin.response option
+(** The admin routes of any process built on a {!Anyseq_runtime.Service}
+    — the server's and [anyseq network --admin]'s:
+    - [/metrics]: the service registry in Prometheus exposition, with
+      per-shard and GC gauges refreshed at scrape time;
+    - [/healthz]: 200 [ok], or 503 [draining] once [draining ()] (default
+      false) or the service drains;
+    - [/statusz]: one {!Anyseq_util.Jsonv} document with [server]
+      ([uptime_s] since [started_at], [draining], [shards], plus the
+      [server ()] fields), [shards], [cache], [tiers], [network] (while
+      a {!Anyseq_network.Pipeline} reports into the service registry),
+      [build], plus the [status ()] members.
+
+    Other paths are [None] (a 404). The server adds [server.protocol_version],
+    [server.connections], [server.dispatch_queue], [requests], [stages]
+    and [flight], and mounts [/debug/flight] beside these. *)
+
 val request_stop : t -> unit
 (** Flag the server to drain. Async-signal-safe (one atomic store); the
     actual teardown happens on the thread inside {!wait}/{!stop}. *)

@@ -9,29 +9,26 @@ let chrome_json ?(pid = 1) spans =
       Int64.max_int spans
   in
   let origin = if origin = Int64.max_int then 0L else origin in
+  let event (s : Trace.span) =
+    Jsonv.Obj
+      [
+        ("name", Str s.Trace.name);
+        ("cat", Str "anyseq");
+        ("ph", Str "X");
+        ("ts", Num (us_of ~origin s.Trace.start_ns));
+        ("dur", Num (us_of ~origin:s.Trace.start_ns s.Trace.end_ns));
+        ("pid", Int pid);
+        ("tid", Int s.Trace.domain);
+        ( "args",
+          Obj
+            (List.map
+               (fun (k, v) ->
+                 (k, match v with Trace.Int n -> Jsonv.Int n | Trace.Str str -> Str str))
+               s.Trace.attrs) );
+      ]
+  in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  List.iteri
-    (fun i (s : Trace.span) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "\n{\"name\":\"%s\",\"cat\":\"anyseq\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{"
-        (Jsonv.escape_string s.Trace.name)
-        (us_of ~origin s.Trace.start_ns)
-        (Int64.to_float (Int64.sub s.Trace.end_ns s.Trace.start_ns) /. 1e3)
-        pid s.Trace.domain;
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then Buffer.add_char b ',';
-          match v with
-          | Trace.Int n -> Printf.bprintf b "\"%s\":%d" (Jsonv.escape_string k) n
-          | Trace.Str str ->
-              Printf.bprintf b "\"%s\":\"%s\"" (Jsonv.escape_string k)
-                (Jsonv.escape_string str))
-        s.Trace.attrs;
-      Buffer.add_string b "}}")
-    spans;
-  Buffer.add_string b "\n]}\n";
+  Jsonv.rows_to_buffer b "traceEvents" event spans;
   Buffer.contents b
 
 let write_chrome ?pid path spans =

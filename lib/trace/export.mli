@@ -11,7 +11,8 @@
     - {!write_chrome} is {!chrome_json} straight to a file. *)
 
 val chrome_json : ?pid:int -> Trace.span list -> string
-(** Render spans as [{"traceEvents":[...]}]. Timestamps are microseconds
+(** Render spans as [{"traceEvents":[...]}], one {!Anyseq_util.Jsonv}
+    event per line, encoded one span at a time. Timestamps are microseconds
     relative to the earliest span; one track (tid) per domain; span
     attributes appear under ["args"]. [pid] (default 1) labels the
     process track — export each process of a distributed trace under a

@@ -1,12 +1,12 @@
-(* A minimal JSON reader for the observability tooling: [anyseq top]
-   polls the admin endpoint's /statusz document, and the tests validate
-   /debug/flight dumps. Only what those need — full parse into a value
-   tree, object/array accessors — with no external dependency. Encoding
-   is done by hand at the producing sites (Buffer + escape). *)
+(* The one JSON codec of the system, with no external dependency. Every
+   document anyseq emits — /statusz, flight dumps, Chrome traces, the
+   CLI's --json lines — is a [t] encoded here; [anyseq top], the gates
+   and the ledger read them back with [parse]. *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | List of t list
@@ -98,9 +98,30 @@ let r_number c =
     advance c
   done;
   if c.pos = start then raise (Bad (Printf.sprintf "expected a number at %d" start));
-  match float_of_string_opt (String.sub c.s start (c.pos - start)) with
-  | Some f -> f
-  | None -> raise (Bad (Printf.sprintf "bad number at %d" start))
+  let lit = String.sub c.s start (c.pos - start) in
+  let digits = if lit.[0] = '-' then String.sub lit 1 (String.length lit - 1) else lit in
+  let integral = digits <> "" && String.for_all (fun ch -> ch >= '0' && ch <= '9') digits in
+  match (if integral then int_of_string_opt lit else None) with
+  | Some i -> Int i
+  | None -> (
+      match float_of_string_opt lit with
+      | Some f -> Num f
+      | None -> raise (Bad (Printf.sprintf "bad number at %d" start)))
+
+(* Comma-separated items up to [closing], the opening bracket consumed. *)
+let r_items c closing item =
+  skip_ws c;
+  if peek c = Some closing then (advance c; [])
+  else
+    let rec go acc =
+      let x = item () in
+      skip_ws c;
+      match peek c with
+      | Some ',' -> advance c; go (x :: acc)
+      | Some ch when ch = closing -> advance c; List.rev (x :: acc)
+      | _ -> raise (Bad (Printf.sprintf "expected ',' or '%c' at %d" closing c.pos))
+    in
+    go []
 
 let rec r_value c =
   skip_ws c;
@@ -109,56 +130,18 @@ let rec r_value c =
   | Some '"' -> Str (r_string c)
   | Some '{' ->
       advance c;
-      skip_ws c;
-      if peek c = Some '}' then begin
-        advance c;
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws c;
-          let k = r_string c in
-          skip_ws c;
-          expect c ':';
-          let v = r_value c in
-          skip_ws c;
-          match peek c with
-          | Some ',' ->
-              advance c;
-              members ((k, v) :: acc)
-          | Some '}' ->
-              advance c;
-              List.rev ((k, v) :: acc)
-          | _ -> raise (Bad "expected ',' or '}' in object")
-        in
-        Obj (members [])
-      end
-  | Some '[' ->
-      advance c;
-      skip_ws c;
-      if peek c = Some ']' then begin
-        advance c;
-        List []
-      end
-      else begin
-        let rec elems acc =
-          let v = r_value c in
-          skip_ws c;
-          match peek c with
-          | Some ',' ->
-              advance c;
-              elems (v :: acc)
-          | Some ']' ->
-              advance c;
-              List.rev (v :: acc)
-          | _ -> raise (Bad "expected ',' or ']' in array")
-        in
-        List (elems [])
-      end
+      Obj
+        (r_items c '}' (fun () ->
+             skip_ws c;
+             let k = r_string c in
+             skip_ws c;
+             expect c ':';
+             (k, r_value c)))
+  | Some '[' -> advance c; List (r_items c ']' (fun () -> r_value c))
   | Some 't' -> expect_lit c "true" (Bool true)
   | Some 'f' -> expect_lit c "false" (Bool false)
   | Some 'n' -> expect_lit c "null" Null
-  | Some _ -> Num (r_number c)
+  | Some _ -> r_number c
 
 let parse s =
   let c = { s; pos = 0 } in
@@ -174,6 +157,7 @@ let member key = function
 
 let to_num = function
   | Num f -> Some f
+  | Int i -> Some (float_of_int i)
   | _ -> None
 
 let to_str = function
@@ -194,9 +178,9 @@ let num ?(default = 0.0) key v =
 let str ?(default = "") key v =
   match Option.bind (member key v) to_str with Some s -> s | None -> default
 
-(* The one escape every producer needs. *)
-let escape_string s =
-  let b = Buffer.create (String.length s + 8) in
+(* ---- encoding ---- *)
+
+let escape b s =
   String.iter
     (fun ch ->
       match ch with
@@ -204,8 +188,64 @@ let escape_string s =
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\t' -> Buffer.add_string b "\\t"
-      | ch when Char.code ch < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
+      | ch when Char.code ch < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code ch)
       | ch -> Buffer.add_char b ch)
-    s;
+    s
+
+(* Shortest of %.15g/%.16g/%.17g that reads back to [f]: any float whose
+   shortest round-tripping decimal has at most 15 digits prints as that
+   decimal under %.15g. An integral result gains ".0" so that it parses
+   back as a [Num], not an [Int]. *)
+let float_repr f =
+  let exact p =
+    let s = Printf.sprintf "%.*g" p f in
+    if float_of_string s = f then Some s else None
+  in
+  let r = Option.value (List.find_map exact [ 15; 16 ]) ~default:(Printf.sprintf "%.17g" f) in
+  if String.for_all (fun ch -> ch = '-' || (ch >= '0' && ch <= '9')) r then r ^ ".0" else r
+
+(* [opening] x1 , x2 … [closing] *)
+let seq b opening closing f xs =
+  Buffer.add_char b opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      f x)
+    xs;
+  Buffer.add_char b closing
+
+let rec to_buffer b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (if v then "true" else "false")
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Num f -> Buffer.add_string b (if Float.is_finite f then float_repr f else "null")
+  | Str s ->
+      Buffer.add_char b '"';
+      escape b s;
+      Buffer.add_char b '"'
+  | List l -> seq b '[' ']' (to_buffer b) l
+  | Obj kvs ->
+      seq b '{' '}'
+        (fun (k, v) ->
+          to_buffer b (Str k);
+          Buffer.add_char b ':';
+          to_buffer b v)
+        kvs
+
+let to_string v =
+  let b = Buffer.create 256 in
+  to_buffer b v;
   Buffer.contents b
+
+let ints kvs = List.map (fun (k, v) -> (k, Int v)) kvs
+
+let rows_to_buffer b key f xs =
+  Buffer.add_char b '{';
+  to_buffer b (Str key);
+  Buffer.add_string b ":[";
+  List.iteri
+    (fun i x ->
+      Buffer.add_string b (if i > 0 then ",\n" else "\n");
+      to_buffer b (f x))
+    xs;
+  Buffer.add_string b "\n]}\n"

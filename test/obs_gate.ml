@@ -157,7 +157,7 @@ let () =
           checkf "stage" "%s exported" stage
             (contains metrics_body
                ~affix:(Printf.sprintf "anyseq_server_stage_%s_us_bucket" stage)))
-        [ "decode"; "admit"; "queue"; "execute"; "reply" ];
+        Server.stages;
       let stats = Service.shard_stats (Server.service srv) in
       check "two shards" (Array.length stats = 2);
       List.iter

@@ -1020,7 +1020,7 @@ let test_admin_metrics_under_load () =
         (Printf.sprintf "stage histogram %s exported" stage)
         true
         (has (Printf.sprintf "anyseq_server_stage_%s_us_bucket" stage)))
-    [ "decode"; "admit"; "queue"; "execute"; "reply" ];
+    Server.stages;
   Alcotest.(check bool) "stage count series" true (has "anyseq_server_stage_execute_us_count");
   Alcotest.(check bool) "per-shard jobs gauge" true (has "anyseq_runtime_shard_jobs{shard=\"0\"}");
   Alcotest.(check bool) "per-shard queued gauge" true
@@ -1090,6 +1090,116 @@ let test_admin_health_status_flight () =
   | Ok (status, _) -> Alcotest.failf "unknown path: HTTP %d" status
   | Error msg -> Alcotest.failf "unknown path: %s" msg
 
+(* The admin endpoint finds the blank line that ends a request head
+   even when it straddles two reads: a 1,024-byte GET whose "\r\n\r\n"
+   spans bytes 510-513 is read as 512 + 512 bytes. *)
+let test_admin_straddled_head () =
+  let path = fresh_socket_path () in
+  let handler = function "/healthz" -> Admin.ok "ok\n" | _ -> None in
+  match Admin.start ~addr:(Addr.Unix_socket path) ~handler with
+  | Error msg -> Alcotest.failf "admin start: %s" msg
+  | Ok admin ->
+      Fun.protect ~finally:(fun () -> Admin.stop admin) @@ fun () ->
+      let line = "GET /healthz HTTP/1.0\r\nX-Pad: " in
+      let head = line ^ String.make (510 - String.length line) 'p' ^ "\r\n\r\n" in
+      let request = head ^ String.make (1024 - String.length head) 'x' in
+      Alcotest.(check int) "blank line at 510" 510 (String.length head - 4);
+      let fd = match Addr.connect (Admin.address admin) with Ok fd -> fd | Error m -> failwith m in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      ignore (Unix.write_substring fd request 0 (String.length request));
+      let t0 = Unix.gettimeofday () in
+      let buf = Bytes.create 4096 and b = Buffer.create 256 in
+      let rec drain () =
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes b buf 0 n;
+            drain ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+        | exception Unix.Unix_error (_, _, _) -> ()
+      in
+      drain ();
+      let reply = Buffer.contents b in
+      Alcotest.(check bool) ("answered 200: " ^ String.escaped reply) true
+        (contains ~affix:"HTTP/1.0 200" reply);
+      Alcotest.(check bool) "before the receive timeout" true (Unix.gettimeofday () -. t0 < 1.5)
+
+(* The request-line parser is total over random, truncated and mutated
+   heads: Some or None, never an exception. *)
+let test_admin_request_line_fuzz () =
+  let rng = Rng.create ~seed:23 in
+  let heads =
+    [| "GET /statusz HTTP/1.0\r\n\r\n"; "HEAD /metrics?x=1 HTTP/1.1\r\nHost: a\r\n\r\n";
+       "GET / HTTP/1.0\n\n"; "POST /healthz HTTP/1.0\r\n\r\n" |]
+  in
+  Alcotest.(check (option (pair string string))) "query stripped" (Some ("HEAD", "/metrics"))
+    (Admin.parse_request_line heads.(1));
+  Alcotest.(check (option (pair string string))) "POST refused" None
+    (Admin.parse_request_line heads.(3));
+  for _ = 1 to 5000 do
+    let h = heads.(Rng.int rng (Array.length heads)) in
+    let b = Bytes.of_string h in
+    for _ = 0 to Rng.int rng 3 do
+      Bytes.set b (Rng.int rng (Bytes.length b)) (Char.chr (Rng.int rng 256))
+    done;
+    let noise = String.init (Rng.int rng 64) (fun _ -> Char.chr (Rng.int rng 256)) in
+    List.iter
+      (fun head ->
+        match Admin.parse_request_line head with
+        | Some _ | None -> ()
+        | exception e -> Alcotest.failf "raised %s on %S" (Printexc.to_string e) head)
+      [ Bytes.to_string b; String.sub h 0 (Rng.int rng (String.length h)); noise ]
+  done
+
+(* The admin routes of a bare service around a network pipeline run (what
+   [anyseq network --admin] serves): /statusz carries the service members
+   and the pipeline's progress, /metrics and /healthz answer. *)
+let test_admin_service_routes_pipeline () =
+  let rng = Rng.create ~seed:24 in
+  let root = Anyseq.Genome_gen.generate rng ~len:160 () in
+  let seqs =
+    Array.init 12 (fun i ->
+        (Printf.sprintf "s%d" i, Anyseq.Genome_gen.mutate rng root))
+  in
+  let service = Service.create () in
+  let started_at = Unix.gettimeofday () in
+  let path = fresh_socket_path () in
+  let out = Filename.temp_file "anyseq_test_admin" ".tsv" in
+  match
+    Admin.start ~addr:(Addr.Unix_socket path)
+      ~handler:(Server.service_routes ~started_at service)
+  with
+  | Error msg -> Alcotest.failf "admin start: %s" msg
+  | Ok admin ->
+      Fun.protect
+        ~finally:(fun () ->
+          Admin.stop admin;
+          Service.shutdown service;
+          Sys.remove out)
+      @@ fun () ->
+      let addr = Admin.address admin in
+      (match
+         Anyseq.Pipeline.run ~service ~out
+           { Anyseq.Pipeline.default_params with min_shared = 3 }
+           (Anyseq.Pipeline.Seqs seqs)
+       with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "pipeline: %s" msg);
+      ignore (get_ok "/metrics" addr "/metrics");
+      Alcotest.(check string) "/healthz" "ok\n" (get_ok "/healthz" addr "/healthz");
+      match Jsonv.parse (get_ok "/statusz" addr "/statusz") with
+      | Error msg -> Alcotest.failf "/statusz unparsable: %s" msg
+      | Ok doc ->
+          List.iter
+            (fun key ->
+              Alcotest.(check bool) ("statusz has " ^ key) true (Jsonv.member key doc <> None))
+            [ "server"; "shards"; "cache"; "tiers"; "network"; "build" ];
+          let net = Option.get (Jsonv.member "network" doc) in
+          Alcotest.(check string) "network phase" "done" (Jsonv.str "phase" net);
+          Alcotest.(check (float 0.0)) "network seqs indexed" 12.0 (Jsonv.num "seqs_indexed" net);
+          Alcotest.(check bool) "no server-only members" true (Jsonv.member "requests" doc = None)
+
 let () =
   Alcotest.run "server"
     [
@@ -1145,5 +1255,9 @@ let () =
           Alcotest.test_case "metrics scrape under load" `Slow test_admin_metrics_under_load;
           Alcotest.test_case "healthz, statusz, flight routes" `Quick
             test_admin_health_status_flight;
+          Alcotest.test_case "head end straddling two reads" `Quick test_admin_straddled_head;
+          Alcotest.test_case "request line fuzz" `Quick test_admin_request_line_fuzz;
+          Alcotest.test_case "service routes around a pipeline" `Quick
+            test_admin_service_routes_pipeline;
         ] );
     ]

@@ -3,6 +3,7 @@ module Stats = Anyseq_util.Stats
 module Tablefmt = Anyseq_util.Tablefmt
 module Timer = Anyseq_util.Timer
 module Heap = Anyseq_util.Heap
+module Jsonv = Anyseq_util.Jsonv
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -225,6 +226,92 @@ let heap_sorts =
       let result = List.rev !drained in
       result = List.sort compare xs)
 
+(* ------------------------------------------------------------------ *)
+(* Jsonv                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Values over every constructor: ints at the extremes, finite floats
+   (including -0, subnormals and the largest), strings over all 256 byte
+   values, and nested lists and objects. *)
+let gen_json =
+  let open QCheck2.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  let finite f = if Float.is_finite f then f else 0.5 in
+  let leaf =
+    oneof
+      [
+        pure Jsonv.Null;
+        map (fun b -> Jsonv.Bool b) bool;
+        map (fun i -> Jsonv.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+        map
+          (fun f -> Jsonv.Num f)
+          (oneof
+             [
+               map finite float;
+               oneofl [ 0.1; -0.0; 3.0; 1e300; 5e-324; max_float; min_float; 1e21 ];
+             ]);
+        map (fun s -> Jsonv.Str s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Jsonv.List l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map (fun kvs -> Jsonv.Obj kvs) (list_size (int_bound 4) (pair str (self (n / 4))))
+               );
+             ])
+
+(* The encoding is also strict JSON in one respect the lenient parser
+   would not notice: no raw control bytes. *)
+let jsonv_roundtrip =
+  Helpers.qtest ~count:500 "parse (to_string v) = Ok v" gen_json (fun v ->
+      let s = Jsonv.to_string v in
+      String.for_all (fun ch -> ch >= ' ') s && Jsonv.parse s = Ok v)
+
+let test_jsonv_non_finite () =
+  List.iter
+    (fun f -> Alcotest.(check string) (string_of_float f) "null" (Jsonv.to_string (Num f)))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check string) "int exact" "4611686018427387903" (Jsonv.to_string (Int max_int));
+  Alcotest.(check string) "integral float stays a float" "3.0" (Jsonv.to_string (Num 3.0));
+  Alcotest.(check string) "shortest form" "0.1" (Jsonv.to_string (Num 0.1));
+  Alcotest.(check (option (float 0.0))) "num reads an Int" (Some 7.0)
+    (Jsonv.to_num (Result.get_ok (Jsonv.parse "7")))
+
+(* Flipped, inserted, deleted bytes and truncations of encoder output:
+   [parse] answers Ok or Error, never raises. *)
+let jsonv_mutation_fuzz =
+  Helpers.qtest ~count:1000 "mutated documents: Ok or Error, no exception"
+    QCheck2.Gen.(pair gen_json Helpers.seeded_rng_gen)
+    (fun (v, rng) ->
+      let b = Buffer.create 64 in
+      Buffer.add_string b (Jsonv.to_string v);
+      for _ = 0 to Rng.int rng 4 do
+        let s = Buffer.contents b in
+        let n = String.length s in
+        let at = Rng.int rng (n + 1) in
+        let byte () = String.make 1 (Char.chr (Rng.int rng 256)) in
+        Buffer.clear b;
+        Buffer.add_string b
+          (match Rng.int rng 4 with
+          | 0 when n > 0 ->
+              let at = Rng.int rng n in
+              String.sub s 0 at ^ byte () ^ String.sub s (at + 1) (n - at - 1)
+          | 1 -> String.sub s 0 at ^ byte () ^ String.sub s at (n - at)
+          | 2 when n > 0 ->
+              let at = Rng.int rng n in
+              String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+          | _ -> String.sub s 0 at)
+      done;
+      match Jsonv.parse (Buffer.contents b) with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "util"
     [
@@ -264,4 +351,10 @@ let () =
           Alcotest.test_case "best_of" `Quick test_timer_best_of;
         ] );
       ("heap", [ Alcotest.test_case "basic" `Quick test_heap_basic; heap_sorts ]);
+      ( "jsonv",
+        [
+          jsonv_roundtrip;
+          Alcotest.test_case "non-finite and exact numbers" `Quick test_jsonv_non_finite;
+          jsonv_mutation_fuzz;
+        ] );
     ]

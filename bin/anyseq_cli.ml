@@ -779,105 +779,19 @@ let top_cmd =
           exit exit_invalid_config
     in
     let interval = if interval <= 0.0 then 1.0 else interval in
-    let prev_replied = ref nan in
+    let prev_replied = ref None in
     let render doc =
-      let srv = Option.value ~default:J.Null (J.member "server" doc) in
-      let req = Option.value ~default:J.Null (J.member "requests" doc) in
-      let replied = J.num ~default:0.0 "replied" req in
+      let replied = Anyseq.Top.replied doc in
       let rate =
-        if Float.is_nan !prev_replied then 0.0
-        else Float.max 0.0 ((replied -. !prev_replied) /. interval)
+        match (!prev_replied, replied) with
+        | Some prev, Some now -> Float.max 0.0 ((now -. prev) /. interval)
+        | _ -> 0.0
       in
       prev_replied := replied;
       (* ANSI clear + home; falls out harmlessly on a dumb terminal. *)
       print_string "\027[2J\027[H";
-      Printf.printf "anyseq top — %s   uptime %.0fs   draining: %s\n" connect
-        (J.num ~default:0.0 "uptime_s" srv)
-        (match J.member "draining" srv with Some (J.Bool true) -> "YES" | _ -> "no");
-      Printf.printf
-        "requests: %.0f received, %.0f replied (%.1f req/s), %.0f bad, %.0f rejected   \
-         connections: %.0f   dispatch queue: %.0f\n"
-        (J.num ~default:0.0 "received" req)
-        replied rate
-        (J.num ~default:0.0 "bad" req)
-        (J.num ~default:0.0 "queue_rejected" req)
-        (J.num ~default:0.0 "connections" srv)
-        (J.num ~default:0.0 "dispatch_queue" srv);
-      (match J.member "stages" doc with
-      | Some stages ->
-          Printf.printf "\n%-9s %10s %10s %10s %12s\n" "stage" "p50(us)" "p90(us)"
-            "p99(us)" "count";
-          List.iter
-            (fun name ->
-              match J.member name stages with
-              | Some s when J.num ~default:0.0 "count" s > 0.0 ->
-                  Printf.printf "%-9s %10.0f %10.0f %10.0f %12.0f\n" name
-                    (J.num ~default:0.0 "p50_us" s)
-                    (J.num ~default:0.0 "p90_us" s)
-                    (J.num ~default:0.0 "p99_us" s)
-                    (J.num ~default:0.0 "count" s)
-              | _ -> Printf.printf "%-9s %10s %10s %10s %12s\n" name "-" "-" "-" "0")
-            Anyseq.Server.stages
-      | None -> ());
-      (match Option.bind (J.member "shards" doc) J.to_list with
-      | Some (_ :: _ as shards) ->
-          Printf.printf "\n%-6s %10s %8s %10s %8s %8s %14s\n" "shard" "jobs" "queued"
-            "in-flight" "steals" "stolen" "minor-words";
-          List.iter
-            (fun s ->
-              Printf.printf "%-6.0f %10.0f %8.0f %10.0f %8.0f %8.0f %14.0f\n"
-                (J.num ~default:0.0 "shard" s)
-                (J.num ~default:0.0 "jobs" s)
-                (J.num ~default:0.0 "queued" s)
-                (J.num ~default:0.0 "in_flight" s)
-                (J.num ~default:0.0 "steals" s)
-                (J.num ~default:0.0 "stolen_from" s)
-                (J.num ~default:0.0 "minor_words" s))
-            shards
-      | _ -> ());
-      (match J.member "network" doc with
-      | Some net ->
-          let pruned = J.num ~default:0.0 "pairs_pruned" net in
-          let total = J.num ~default:0.0 "pairs_total" net in
-          Printf.printf
-            "\nnetwork [%s]: %.0f seqs indexed, %.0f/%.0f pairs aligned (%.1f%% pruned, \
-             %.0f cut off), %.0f edges, %.0f components\n"
-            (J.str ~default:"?" "phase" net)
-            (J.num ~default:0.0 "seqs_indexed" net)
-            (J.num ~default:0.0 "pairs_aligned" net)
-            total
-            (if total > 0.0 then 100.0 *. pruned /. total else 0.0)
-            (J.num ~default:0.0 "pairs_cutoff" net)
-            (J.num ~default:0.0 "edges_written" net)
-            (J.num ~default:0.0 "components" net)
-      | None -> ());
-      (match J.member "tiers" doc with
-      | Some (J.Obj fields) ->
-          print_string "\ntiers:";
-          List.iter
-            (fun (name, v) ->
-              match J.to_num v with
-              | Some n when n > 0.0 -> Printf.printf "  %s %.0f" name n
-              | _ -> ())
-            fields;
-          print_newline ()
-      | _ -> ());
-      (match J.member "cache" doc with
-      | Some c ->
-          let hits = J.num ~default:0.0 "hits" c and misses = J.num ~default:0.0 "misses" c in
-          let total = hits +. misses in
-          Printf.printf "cache: %.0f/%.0f entries, hit rate %.1f%%\n"
-            (J.num ~default:0.0 "size" c)
-            (J.num ~default:0.0 "capacity" c)
-            (if total > 0.0 then 100.0 *. hits /. total else 0.0)
-      | None -> ());
-      (match J.member "flight" doc with
-      | Some f ->
-          Printf.printf "flight: %.0f recorded (ring of %.0f), %.0f dumps\n%!"
-            (J.num ~default:0.0 "recorded" f)
-            (J.num ~default:0.0 "capacity" f)
-            (J.num ~default:0.0 "dumps" f)
-      | None -> flush stdout)
+      print_string (Anyseq.Top.render ~label:connect ~rate doc);
+      flush stdout
     in
     let rec poll i =
       if count = 0 || i < count then begin

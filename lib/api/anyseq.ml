@@ -52,6 +52,7 @@ module Server = Anyseq_server.Server
 module Batcher = Anyseq_server.Batcher
 module Admin = Anyseq_server.Admin
 module Flight = Anyseq_server.Flight
+module Top = Anyseq_server.Top
 module Jsonv = Anyseq_util.Jsonv
 
 (* One record for every parallelism knob the runtime scatters across

@@ -104,7 +104,7 @@ module Trace_export = Anyseq_trace.Export
     [anyseq serve --admin]); {!Flight} its bounded ring of recent
     per-request records; {!Jsonv} the dependency-free JSON codec every
     emitted document is written with and [anyseq top] parses [/statusz]
-    with. *)
+    with; {!Top} renders that document as [anyseq top]'s dashboard. *)
 
 module Wire = Anyseq_client.Wire
 module Addr = Anyseq_client.Addr
@@ -113,6 +113,7 @@ module Server = Anyseq_server.Server
 module Batcher = Anyseq_server.Batcher
 module Admin = Anyseq_server.Admin
 module Flight = Anyseq_server.Flight
+module Top = Anyseq_server.Top
 module Jsonv = Anyseq_util.Jsonv
 
 (** {1 Parallelism}

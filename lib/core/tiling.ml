@@ -2,6 +2,7 @@ module Scheme = Anyseq_scoring.Scheme
 module Gaps = Anyseq_bio.Gaps
 module Sequence = Anyseq_bio.Sequence
 open Types
+open Row_residual
 
 type plan = {
   scheme : Scheme.t;
@@ -11,6 +12,16 @@ type plan = {
   tile : int;
   nti : int;
   ntj : int;
+  (* The tile relaxation's operands, fixed per plan: the folded
+     substitution table, both sequences' codes as packed bytes, and the
+     gap costs. *)
+  sub : int array;
+  asize : int;
+  qcodes : Bytes.t;
+  scodes : Bytes.t;
+  affine : bool;
+  ge : int;
+  goe : int;
   (* Border stripes: h_rows.(ti) is row i = ti·tile of H (length m+1);
      e_rows the matching E row; h_cols.(tj)/f_cols.(tj) the column
      j = tj·tile of H and F (length n+1). *)
@@ -18,11 +29,21 @@ type plan = {
   e_rows : int array array;
   h_cols : int array array;
   f_cols : int array array;
-  best : ends array; (* one slot per tile, written by its owner only *)
+  (* The local sweeps' row-best cells, one pair per tile column: two tiles
+     of one column never run at once. *)
+  row_best : int ref array;
+  row_best_j : int ref array;
+  (* Per-tile best cell, slot ti·ntj + tj, written by its owner only. *)
+  best_score : int array;
+  best_i : int array;
+  best_j : int array;
 }
 
 let tile_rows p = p.nti
 let tile_cols p = p.ntj
+
+let codes (v : Sequence.view) =
+  Bytes.init v.Sequence.len (fun k -> Char.unsafe_chr (v.Sequence.at k))
 
 let create scheme mode ~tile ~query ~subject =
   if tile <= 0 then invalid_arg "Tiling.create: tile size must be positive";
@@ -37,14 +58,12 @@ let create scheme mode ~tile ~query ~subject =
   let f_cols = Array.init (ntj + 1) (fun _ -> Array.make (n + 1) neg_inf) in
   (* Row 0 and column 0 of the DP matrix. *)
   for j = 0 to m do
-    h_rows.(0).(j) <- (if v.free_start || j = 0 then 0 else -(go + (j * ge)));
-    e_rows.(0).(j) <- neg_inf
+    h_rows.(0).(j) <- (if v.free_start || j = 0 then 0 else -(go + (j * ge)))
   done;
   for i = 0 to n do
-    h_cols.(0).(i) <- (if v.free_start || i = 0 then 0 else -(go + (i * ge)));
-    f_cols.(0).(i) <- neg_inf
+    h_cols.(0).(i) <- (if v.free_start || i = 0 then 0 else -(go + (i * ge)))
   done;
-  let no_best = { score = neg_inf; query_end = 0; subject_end = 0 } in
+  let sub, asize = fold_subst scheme in
   {
     scheme;
     variant = v;
@@ -53,136 +72,130 @@ let create scheme mode ~tile ~query ~subject =
     tile;
     nti;
     ntj;
+    sub;
+    asize;
+    qcodes = codes query;
+    scodes = codes subject;
+    affine = Gaps.is_affine scheme.Scheme.gap;
+    ge;
+    goe = go + ge;
     h_rows;
     e_rows;
     h_cols;
     f_cols;
-    best = Array.make (nti * ntj) no_best;
+    row_best = Array.init ntj (fun _ -> ref 0);
+    row_best_j = Array.init ntj (fun _ -> ref 0);
+    best_score = Array.make (nti * ntj) neg_inf;
+    best_i = Array.make (nti * ntj) 0;
+    best_j = Array.make (nti * ntj) 0;
   }
 
+(* Where the reference ({!Dp_linear}) notes cell (i, j): row-major over
+   the whole matrix for All_cells; for Last_row_col H(0,m), then H(i,m) by
+   i, then the last row by j. Among equal scores the lowest rank wins. *)
+let rank p i j =
+  let n = p.query.Sequence.len and m = p.subject.Sequence.len in
+  match p.variant.best with
+  | Last_row_col -> if j = m then i else n + 1 + j
+  | Corner | All_cells -> (i * (m + 1)) + j
+
+let note p slot score i j =
+  let b = p.best_score.(slot) in
+  if score > b || (score = b && rank p i j < rank p p.best_i.(slot) p.best_j.(slot)) then begin
+    p.best_score.(slot) <- score;
+    p.best_i.(slot) <- i;
+    p.best_j.(slot) <- j
+  end
+
 let compute_tile p ~ti ~tj =
-  let { scheme; variant = v; query; subject; tile; _ } = p in
-  let n = query.Sequence.len and m = subject.Sequence.len in
-  let sigma = Scheme.subst_score scheme in
-  let go = Gaps.open_cost scheme.Scheme.gap and ge = Gaps.extend_cost scheme.Scheme.gap in
-  let i0 = ti * tile and j0 = tj * tile in
-  let i1 = min n (i0 + tile) and j1 = min m (j0 + tile) in
+  let { sub; asize; qcodes; scodes; affine; ge; goe; _ } = p in
+  let n = p.query.Sequence.len and m = p.subject.Sequence.len in
+  let i0 = ti * p.tile and j0 = tj * p.tile in
+  let i1 = min n (i0 + p.tile) and j1 = min m (j0 + p.tile) in
   let top_h = p.h_rows.(ti) and top_e = p.e_rows.(ti) in
   let left_h = p.h_cols.(tj) and left_f = p.f_cols.(tj) in
-  let w = j1 - j0 in
-  (* Local rolling rows over the tile's columns j0+1..j1 (slot j-j0). *)
-  let hrow = Array.make (w + 1) neg_inf in
-  let erow = Array.make (w + 1) neg_inf in
-  Array.blit top_h j0 hrow 0 (w + 1);
-  Array.blit top_e j0 erow 0 (w + 1);
-  let best = ref { score = neg_inf; query_end = 0; subject_end = 0 } in
-  let note score i j =
-    if score > !best.score then best := { score; query_end = i; subject_end = j }
-  in
-  let track_all = v.best = All_cells in
-  let track_last = v.best = Last_row_col in
-  let scodes = Array.init w (fun k -> subject.Sequence.at (j0 + k)) in
-  let simple =
-    if track_all || track_last || v.clamp_zero then None
-    else Anyseq_bio.Substitution.as_simple scheme.Scheme.subst
-  in
-  (match simple with
-  | Some (match_, mismatch) ->
-      (* Specialized corner-rule kernel (see Dp_linear.sweep_fast); the
-         rolling state rides in tail-call arguments to stay in registers. *)
-      let goe = go + ge in
-      let right_h = p.h_cols.(tj + 1) and right_f = p.f_cols.(tj + 1) in
-      let store_right = j1 = (tj + 1) * tile || j1 = m in
-      for i = i0 + 1 to i1 do
-        let q = query.Sequence.at (i - 1) in
-        let hdiag0 = Array.unsafe_get hrow 0 in
-        let border = left_h.(i) in
-        Array.unsafe_set hrow 0 border;
-        let rec go k hdiag f hleft =
-          if k > w then f
-          else begin
-            let s = Array.unsafe_get scodes (k - 1) in
-            let hk = Array.unsafe_get hrow k in
-            let e_ext = Array.unsafe_get erow k - ge and e_opn = hk - goe in
-            let e = if e_ext >= e_opn then e_ext else e_opn in
-            let f_ext = f - ge and f_opn = hleft - goe in
-            let fv = if f_ext >= f_opn then f_ext else f_opn in
-            let diag = hdiag + if q = s then match_ else mismatch in
-            let bestv = if diag >= e then diag else e in
-            let bestv = if bestv >= fv then bestv else fv in
-            Array.unsafe_set hrow k bestv;
-            Array.unsafe_set erow k e;
-            go (k + 1) hk fv bestv
-          end
-        in
-        let final_f = go 1 hdiag0 left_f.(i) border in
-        if store_right then begin
-          right_h.(i) <- hrow.(w);
-          right_f.(i) <- final_f
-        end
-      done
-  | None ->
-      for i = i0 + 1 to i1 do
-        let q = query.Sequence.at (i - 1) in
-        let hdiag = ref hrow.(0) in
-        hrow.(0) <- left_h.(i);
-        let f = ref left_f.(i) in
-        for j = j0 + 1 to j1 do
-          let k = j - j0 in
-          let s = Array.unsafe_get scodes (k - 1) in
-          let e = max (erow.(k) - ge) (hrow.(k) - go - ge) in
-          let fv = max (!f - ge) (hrow.(k - 1) - go - ge) in
-          let diag = !hdiag + sigma q s in
-          let bestv = max diag (max e fv) in
-          let bestv = if v.clamp_zero then max bestv 0 else bestv in
-          hdiag := hrow.(k);
-          hrow.(k) <- bestv;
-          erow.(k) <- e;
-          f := fv;
-          if track_all || (track_last && (j = m || i = n)) then note bestv i j
-        done;
-        (* Right border of this tile = column j1. *)
-        if j1 = (tj + 1) * tile || j1 = m then begin
-          p.h_cols.(tj + 1).(i) <- hrow.(w);
-          p.f_cols.(tj + 1).(i) <- !f
-        end
-      done);
-  (* Bottom border = row i1.  The corner column j0 belongs to the left
-     neighbour (it writes H(i1, j0) as its own last column); writing it here
-     too would race with same-diagonal tiles and, for E, deposit a stale
-     value — so tiles other than the leftmost start the blit at j0+1. *)
-  begin
-    let src = if tj = 0 then 0 else 1 in
-    Array.blit hrow src p.h_rows.(ti + 1) (j0 + src) (w + 1 - src);
-    Array.blit erow 1 p.e_rows.(ti + 1) (j0 + 1) w
-  end;
-  p.best.((ti * p.ntj) + tj) <- !best
+  let right_h = p.h_cols.(tj + 1) and right_f = p.f_cols.(tj + 1) in
+  (* The tile is relaxed in place in its bottom border stripe, which holds
+     row i1 once the last row is done. Column j0 belongs to the left
+     neighbour (it writes H(·, j0) as its own last column): the sweeps
+     take H(i, j0) as an argument and never touch it, except that a tj = 0
+     tile owns column 0 and writes H(i, 0) itself. Linear gaps need no E
+     or F, so their stripes stay neg_inf, which gives the same H when
+     Go = 0. *)
+  let hrow = p.h_rows.(ti + 1) and erow = p.e_rows.(ti + 1) in
+  let c0 = if tj = 0 then 0 else j0 + 1 in
+  Array.blit top_h c0 hrow c0 (j1 + 1 - c0);
+  if affine then Array.blit top_e (j0 + 1) erow (j0 + 1) (j1 - j0);
+  let slot = (ti * p.ntj) + tj in
+  p.best_score.(slot) <- neg_inf;
+  p.best_i.(slot) <- 0;
+  p.best_j.(slot) <- 0;
+  let row_best = p.row_best.(tj) and row_best_j = p.row_best_j.(tj) in
+  let clamp = p.variant.clamp_zero and last_rc = p.variant.best = Last_row_col in
+  let hdiag = ref top_h.(j0) in
+  for i = i0 + 1 to i1 do
+    let qrow = Char.code (Bytes.unsafe_get qcodes (i - 1)) * asize in
+    let hleft = left_h.(i) in
+    if tj = 0 then hrow.(0) <- hleft;
+    (if clamp then begin
+       row_best := p.best_score.(slot);
+       row_best_j := 0;
+       (if affine then
+          right_f.(i) <-
+            aff_row_clamp sub scodes hrow erow ge goe j1 row_best row_best_j (j0 + 1) !hdiag
+              left_f.(i) hleft qrow
+        else lin_row_clamp sub scodes hrow ge j1 row_best row_best_j (j0 + 1) !hdiag hleft qrow);
+       (* Rows run top-down, so the leftmost strict improvement of a later
+          row never ties an earlier one. *)
+       if !row_best > p.best_score.(slot) then note p slot !row_best i !row_best_j
+     end
+     else if affine then
+       right_f.(i) <- aff_row sub scodes hrow erow ge goe j1 (j0 + 1) !hdiag left_f.(i) hleft qrow
+     else lin_row sub scodes hrow ge j1 (j0 + 1) !hdiag hleft qrow);
+    right_h.(i) <- hrow.(j1);
+    if last_rc && j1 = m then note p slot hrow.(m) i m;
+    hdiag := hleft
+  done;
+  if last_rc && i1 = n && i1 > i0 then
+    for j = j0 + 1 to j1 do
+      note p slot hrow.(j) n j
+    done
 
 let finish p =
   let n = p.query.Sequence.len and m = p.subject.Sequence.len in
   match p.variant.best with
   | Corner ->
-      (* The bottom-right tile deposited H(n, ·) into h_rows.(nti). *)
+      (* The bottom-right tile left H(n, ·) in h_rows.(nti). *)
       { score = p.h_rows.(p.nti).(m); query_end = n; subject_end = m }
   | All_cells | Last_row_col ->
-      let tracker = Accessors.max_tracker () in
-      (* Border cells first (they are not owned by any tile). *)
+      (* Cells on row 0 and column 0 belong to no tile. Every candidate is
+         ranked as the reference notes it, so ties resolve as there. *)
+      let bs = ref neg_inf and bi = ref 0 and bj = ref 0 in
+      let consider score i j =
+        if score > !bs || (score = !bs && rank p i j < rank p !bi !bj) then begin
+          bs := score;
+          bi := i;
+          bj := j
+        end
+      in
       if p.variant.best = All_cells then begin
         for j = 0 to m do
-          tracker.Accessors.note p.h_rows.(0).(j) 0 j
+          consider p.h_rows.(0).(j) 0 j
         done;
-        for i = 0 to n do
-          tracker.Accessors.note p.h_cols.(0).(i) i 0
+        for i = 1 to n do
+          consider p.h_cols.(0).(i) i 0
         done
       end
       else begin
-        tracker.Accessors.note p.h_rows.(0).(m) 0 m;
-        tracker.Accessors.note p.h_cols.(0).(n) n 0
+        for j = 0 to m do
+          if j = m || n = 0 then consider p.h_rows.(0).(j) 0 j
+        done;
+        for i = 1 to n do
+          if i = n || m = 0 then consider p.h_cols.(0).(i) i 0
+        done
       end;
-      Array.iter
-        (fun (b : ends) -> tracker.Accessors.note b.score b.query_end b.subject_end)
-        p.best;
-      tracker.Accessors.current ()
+      Array.iteri (fun slot score -> consider score p.best_i.(slot) p.best_j.(slot)) p.best_score;
+      { score = !bs; query_end = !bi; subject_end = !bj }
 
 let run_sequential p =
   (* Anti-diagonal tile order respects both dependencies. *)
@@ -222,4 +235,8 @@ let tile_span p ~ti ~tj =
   let i0 = ti * p.tile and j0 = tj * p.tile in
   (i0, min n (i0 + p.tile), j0, min m (j0 + p.tile))
 
-let set_best p ~ti ~tj ends = p.best.((ti * p.ntj) + tj) <- ends
+let set_best p ~ti ~tj (e : ends) =
+  let slot = (ti * p.ntj) + tj in
+  p.best_score.(slot) <- e.score;
+  p.best_i.(slot) <- e.query_end;
+  p.best_j.(slot) <- e.subject_end

@@ -8,7 +8,13 @@
     relaxed as soon as tiles [(ti−1, tj)] and [(ti, tj−1)] are done, which
     is exactly the dependency structure the wavefront schedulers exploit;
     [compute_tile] is safe to call concurrently for independent tiles
-    because each writes disjoint border segments and its own best-slot. *)
+    because each writes disjoint border segments and its own best-slot.
+
+    Every tile runs the native row residual ({!Row_residual}), the same
+    sweeps the full-matrix native kernels run: [create] folds the scheme's
+    substitution function into a flat table and packs both sequences'
+    codes into bytes once per plan, so the relaxation a tile runs is fixed
+    by the plan's scheme and mode. *)
 
 type plan
 
@@ -26,12 +32,22 @@ val tile_rows : plan -> int
 val tile_cols : plan -> int
 
 val compute_tile : plan -> ti:int -> tj:int -> unit
-(** Relax one submatrix. Requires its up/left neighbours to be complete;
-    callers (sequential loop or wavefront scheduler) enforce the order. *)
+(** Relax one submatrix: one row-residual sweep per tile row over the
+    tile's absolute columns, under a loop nest chosen by the mode's best
+    rule. The tile is relaxed in place in its bottom border stripe (the
+    top border is copied there first), so a warmed plan allocates nothing
+    per tile. Linear gaps leave the E and F stripes untouched (neg_inf),
+    which yields the same H because Go = 0. Requires its up/left
+    neighbours to be complete; callers (sequential loop or wavefront
+    scheduler) enforce the order. *)
 
 val finish : plan -> Types.ends
-(** Combine borders and per-tile trackers into the final result. Call after
-    every tile has been computed. *)
+(** Combine borders and per-tile bests into the final result. Call after
+    every tile has been computed. Ends are those of
+    {!Dp_linear.score_only}: the highest score wins, and among equal
+    scores the cell that the reference notes first — row-major for local
+    mode; for semi-global H(0,m), then the last column by row, then the
+    last row by column. Each tile ranks its own cells the same way. *)
 
 val run_sequential : plan -> Types.ends
 (** Relax all tiles in anti-diagonal order on the calling thread. *)

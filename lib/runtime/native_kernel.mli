@@ -8,7 +8,11 @@
     one per (gap model × best rule) point of the configuration space, with
     the substitution function folded into a flat lookup table at build time
     — so the specialization cache can serve a kernel with {e zero} per-cell
-    configuration dispatch:
+    configuration dispatch. The row sweeps themselves live in
+    {!Anyseq_core.Row_residual}, shared with the wavefront tiles
+    ({!Anyseq_core.Tiling.compute_tile}); this module holds the full-matrix
+    loop nests around them, the traceback residuals and the Hirschberg
+    half-pass:
 
     - linear gaps drop the E/F recurrences entirely (E(i,j) = H(i−1,j) − Ge
       when Go = 0), roughly halving the per-cell work of the generic

@@ -19,6 +19,12 @@ let schemes_under_test =
 
 let modes_under_test = [ T.Global; T.Semiglobal; T.Local ]
 
+(* The simple schemes plus the dna5 wildcard ones, whose N-against-N
+   mismatch makes them more than a two-value match/mismatch table. *)
+let oracle_schemes =
+  schemes_under_test
+  @ [ ("wildcard-linear", Scheme.wildcard_linear); ("wildcard-affine", Scheme.wildcard_affine) ]
+
 let random_dna rng ~len = Sequence.random rng Alphabet.dna4 ~len
 
 (* A pair that is either unrelated or a mutated copy — correlated pairs
@@ -29,6 +35,18 @@ let random_pair rng ~max_len =
   else
     let base = random_dna rng ~len:(max 1 n) in
     (base, Anyseq_seqio.Genome_gen.mutate rng base)
+
+(* [s] over dna5 with about one base in eight replaced by N. *)
+let sprinkle_n rng s =
+  String.map (fun c -> if Rng.int rng 8 = 0 then 'N' else c) (Sequence.to_string s)
+  |> Sequence.of_string Alphabet.dna5
+
+(* A [random_pair] over the scheme's alphabet: N codes for dna5 schemes. *)
+let scheme_pair rng scheme ~max_len =
+  let q, s = random_pair rng ~max_len in
+  if Alphabet.size (Scheme.alphabet scheme) = Alphabet.size Alphabet.dna5 then
+    (sprinkle_n rng q, sprinkle_n rng s)
+  else (q, s)
 
 let reference_score scheme mode ~query ~subject =
   (Anyseq_core.Reference.score_only scheme mode ~query ~subject).T.score

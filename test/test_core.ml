@@ -151,12 +151,44 @@ let hirschberg_matches_oracle =
               ~subject:s a))
 
 let tiled_matches_oracle =
-  Helpers.qtest ~count:200 "tiled = oracle at random tile sizes"
-    QCheck2.Gen.(tup3 (pair_gen ~max_len:44) scheme_mode_gen (1 -- 20))
-    (fun ((q, s), (scheme, mode), tile) ->
-      let expected = Helpers.reference_score scheme mode ~query:q ~subject:s in
-      (Tiling.score_only scheme mode ~tile ~query:(view q) ~subject:(view s)).T.score
-      = expected)
+  Helpers.qtest ~count:1500 "tiled = oracle at random tile sizes"
+    QCheck2.Gen.(
+      tup4 nat (oneofl (List.map snd Helpers.oracle_schemes)) (oneofl Helpers.modes_under_test)
+        (1 -- 20))
+    (fun (seed, scheme, mode, tile) ->
+      let q, s = Helpers.scheme_pair (Rng.create ~seed) scheme ~max_len:44 in
+      Tiling.score_only scheme mode ~tile ~query:(view q) ~subject:(view s)
+      = Dp_linear.score_only scheme mode ~query:(view q) ~subject:(view s))
+
+(* A warmed plan relaxes every tile with no allocation beyond a fixed few
+   words: the relaxation runs in the plan's border stripes, not in rows
+   allocated per tile. 600×600 at tile 64 is 100 tiles, ragged at the
+   right and bottom. *)
+let test_tile_allocation () =
+  let rng = Rng.create ~seed:24 in
+  let scheme = Scheme.wildcard_affine in
+  let q = Helpers.sprinkle_n rng (Helpers.random_dna rng ~len:600) in
+  let s = Helpers.sprinkle_n rng (Helpers.random_dna rng ~len:600) in
+  List.iter
+    (fun mode ->
+      let p = Tiling.create scheme mode ~tile:64 ~query:(view q) ~subject:(view s) in
+      let rows = Tiling.tile_rows p and cols = Tiling.tile_cols p in
+      let pass () =
+        for ti = 0 to rows - 1 do
+          for tj = 0 to cols - 1 do
+            Tiling.compute_tile p ~ti ~tj
+          done
+        done
+      in
+      pass ();
+      let before = Gc.minor_words () in
+      pass ();
+      let per_tile = (Gc.minor_words () -. before) /. float_of_int (rows * cols) in
+      if per_tile > 4.0 then
+        Alcotest.failf "%s: %.1f minor words per tile (budget 4)" (Alignment.mode_to_string mode) per_tile;
+      Alcotest.(check bool) "warm pass keeps the result" true
+        (Tiling.finish p = Dp_linear.score_only scheme mode ~query:(view q) ~subject:(view s)))
+    Helpers.modes_under_test
 
 let banded_full_band_matches_oracle =
   Helpers.qtest ~count:150 "banded(full band) = oracle (global)"
@@ -413,6 +445,7 @@ let () =
           banded_full_band_matches_oracle;
           banded_lower_bound;
           staged_kernels_match_oracle;
+          Alcotest.test_case "no allocation per tile" `Quick test_tile_allocation;
         ] );
       ( "invariants",
         [

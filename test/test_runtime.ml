@@ -767,6 +767,38 @@ let test_wire_unit_cost_round_trip () =
                (Anyseq_analysis.Property.analyze cfg.Anyseq.Config.scheme)
             <> None))
 
+(* Two equal local optima. B ends first in the reference's row-major note
+   order (query 300, subject 600); A ends later in the query but earlier in
+   the subject (query 400, subject 100), so a tiled run that ranks ties in
+   tile order reports A. Every tier must report B, as the dense reference
+   does. *)
+let test_tied_local_ends () =
+  let rng = Rng.create ~seed:5 in
+  let a = Sequence.to_string (Helpers.random_dna rng ~len:100) in
+  let b = Sequence.to_string (Helpers.random_dna rng ~len:100) in
+  let ns k = String.make k 'N' in
+  let query = Sequence.of_string Alphabet.dna5 (ns 200 ^ b ^ a ^ ns 300) in
+  let subject = Sequence.of_string Alphabet.dna5 (a ^ ns 400 ^ b ^ ns 300) in
+  let scheme = Scheme.wildcard_affine in
+  let ends backend =
+    let svc = Service.create ~domains:2 () in
+    let config = Anyseq.Config.make ~scheme ~mode:T.Local ~traceback:false ~backend () in
+    let r = (Service.run_seqs svc [| Service.seq_job ~config ~query ~subject () |]).(0) in
+    Service.shutdown svc;
+    match r with
+    | Ok o -> (o.Service.score, o.Service.query_end, o.Service.subject_end)
+    | Error e -> Alcotest.fail (Error.to_string e)
+  in
+  let reference =
+    Dp_linear.score_only scheme T.Local ~query:(Sequence.view query)
+      ~subject:(Sequence.view subject)
+  in
+  let triple = Alcotest.(triple int int int) in
+  Alcotest.check triple "reference" (200, 300, 600)
+    (reference.T.score, reference.T.query_end, reference.T.subject_end);
+  Alcotest.check triple "scalar" (200, 300, 600) (ends Anyseq.Config.Scalar);
+  Alcotest.check triple "wavefront" (200, 300, 600) (ends Anyseq.Config.Wavefront)
+
 let test_mixed_configs_one_batch () =
   (* One submission mixing configurations: grouping must dispatch each job
      under its own configuration and keep submission order. *)
@@ -1195,6 +1227,7 @@ let () =
           Alcotest.test_case "drain gate" `Quick test_service_drain;
           Alcotest.test_case "drain waits for in-flight" `Slow test_service_drain_waits_for_in_flight;
           Alcotest.test_case "concurrent submitters" `Slow test_concurrent_submitters;
+          Alcotest.test_case "tied local ends" `Quick test_tied_local_ends;
         ] );
       ( "sharded runtime",
         [

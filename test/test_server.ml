@@ -832,6 +832,7 @@ module Admin = Anyseq.Admin
 module Jsonv = Anyseq.Jsonv
 module Trace = Anyseq.Trace
 module Service = Anyseq.Service
+module Top = Anyseq.Top
 
 (* v2 frames carry the trace context through encode/decode intact. *)
 let test_wire_trace_roundtrip () =
@@ -1200,6 +1201,66 @@ let test_admin_service_routes_pipeline () =
           Alcotest.(check (float 0.0)) "network seqs indexed" 12.0 (Jsonv.num "seqs_indexed" net);
           Alcotest.(check bool) "no server-only members" true (Jsonv.member "requests" doc = None)
 
+(* [anyseq top]'s rendering of both /statusz shapes: a network run's has
+   no requests, connections or dispatch queue to show, so no such line. *)
+let test_top_render () =
+  let contains text sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length text && (String.sub text i n = sub || at (i + 1)) in
+    at 0
+  in
+  let common =
+    [
+      ("shards", Jsonv.List [ Jsonv.Obj (Jsonv.ints [ ("shard", 0); ("jobs", 42) ]) ]);
+      ("tiers", Jsonv.Obj (Jsonv.ints [ ("native", 40); ("wavefront", 2) ]));
+      ("cache", Jsonv.Obj (Jsonv.ints [ ("size", 1); ("capacity", 64); ("hits", 3); ("misses", 1) ]));
+    ]
+  in
+  let network =
+    Jsonv.Obj
+      ([
+         ("server", Jsonv.Obj [ ("uptime_s", Jsonv.Num 12.0); ("draining", Jsonv.Bool false) ]);
+         ( "network",
+           Jsonv.Obj
+             (("phase", Jsonv.Str "align")
+             :: Jsonv.ints [ ("seqs_indexed", 100); ("pairs_aligned", 7); ("pairs_total", 10) ]) );
+       ]
+      @ common)
+  in
+  let server =
+    Jsonv.Obj
+      ([
+         ( "server",
+           Jsonv.Obj
+             (("uptime_s", Jsonv.Num 3.0) :: ("draining", Jsonv.Bool true)
+             :: Jsonv.ints [ ("connections", 3); ("dispatch_queue", 1) ]) );
+         ("requests", Jsonv.Obj (Jsonv.ints [ ("received", 5); ("replied", 4); ("bad", 1) ]));
+       ]
+      @ common)
+  in
+  Alcotest.(check (option (float 0.0))) "network has no replied count" None (Top.replied network);
+  Alcotest.(check (option (float 0.0))) "server replied count" (Some 4.0) (Top.replied server);
+  let net = Top.render ~label:"unix:/a" ~rate:0.0 network in
+  let srv = Top.render ~label:"unix:/s" ~rate:2.0 server in
+  List.iter
+    (fun (what, text, sub, want) -> Alcotest.(check bool) what want (contains text sub))
+    [
+      ("network: header", net, "anyseq top — unix:/a   uptime 12s   draining: no\n", true);
+      ("network: no requests line", net, "requests:", false);
+      ("network: no connections", net, "connections:", false);
+      ("network: progress", net, "network [align]: 100 seqs indexed, 7/10 pairs aligned", true);
+      ("network: tiers", net, "tiers:  native 40  wavefront 2\n", true);
+      ("network: cache", net, "cache: 1/64 entries, hit rate 75.0%\n", true);
+      ("network: shard row", net, "\n0              42", true);
+      ("server: header", srv, "uptime 3s   draining: YES\n", true);
+      ( "server: requests line",
+        srv,
+        "requests: 5 received, 4 replied (2.0 req/s), 1 bad, 0 rejected   connections: 3   \
+         dispatch queue: 1\n",
+        true );
+      ("server: no network line", srv, "network [", false);
+    ]
+
 let () =
   Alcotest.run "server"
     [
@@ -1259,5 +1320,6 @@ let () =
           Alcotest.test_case "request line fuzz" `Quick test_admin_request_line_fuzz;
           Alcotest.test_case "service routes around a pipeline" `Quick
             test_admin_service_routes_pipeline;
+          Alcotest.test_case "top renders both statusz shapes" `Quick test_top_render;
         ] );
     ]

@@ -237,31 +237,22 @@ let test_score_many () =
     [ T.Global; T.Local ]
 
 let scheduled_scores_match =
-  Helpers.qtest ~count:25 "parallel schedulers = scalar scores"
-    QCheck2.Gen.(tup3 (map (fun seed ->
-        let rng = Rng.create ~seed in
-        Helpers.random_pair rng ~max_len:150) nat)
-      (oneofl Helpers.modes_under_test)
-      (oneofl [ 16; 33; 64 ]))
-    (fun ((q, s), mode, tile) ->
-      let scheme = Scheme.paper_affine in
+  Helpers.qtest ~count:40 "parallel schedulers = scalar scores"
+    QCheck2.Gen.(
+      tup4 nat (oneofl (List.map snd Helpers.oracle_schemes)) (oneofl Helpers.modes_under_test)
+        (oneof [ 1 -- 20; oneofl [ 33; 64 ] ]))
+    (fun (seed, scheme, mode, tile) ->
+      let q, s = Helpers.scheme_pair (Rng.create ~seed) scheme ~max_len:150 in
       let expected =
-        (Anyseq_core.Dp_linear.score_only scheme mode ~query:(Sequence.view q)
-           ~subject:(Sequence.view s))
-          .T.score
+        Anyseq_core.Dp_linear.score_only scheme mode ~query:(Sequence.view q)
+          ~subject:(Sequence.view s)
       in
-      let dyn =
-        (Scheduler.score_parallel ~tile ~domains:3 scheme mode ~query:q ~subject:s).T.score
-      in
+      let dyn = Scheduler.score_parallel ~tile ~domains:3 scheme mode ~query:q ~subject:s in
       let dyn_lf =
-        (Scheduler.score_parallel ~impl:Workqueue.Lock_free ~tile ~domains:3 scheme mode
-           ~query:q ~subject:s)
-          .T.score
+        Scheduler.score_parallel ~impl:Workqueue.Lock_free ~tile ~domains:3 scheme mode ~query:q
+          ~subject:s
       in
-      let st =
-        (Scheduler.score_parallel_static ~tile ~domains:2 scheme mode ~query:q ~subject:s)
-          .T.score
-      in
+      let st = Scheduler.score_parallel_static ~tile ~domains:2 scheme mode ~query:q ~subject:s in
       dyn = expected && dyn_lf = expected && st = expected)
 
 (* ------------------------------------------------------------------ *)

@@ -1072,7 +1072,7 @@ let trace_cmd =
     let config = Anyseq.Config.make ~scheme ~mode ~traceback ~backend () in
     let pairs = load_pairs ~reads:None ~subjects:None ~count ~seed in
     (* A private service so the specialization cache is cold: the trace
-       then shows the full story, PE included. *)
+       then shows the kernel builds ([cache.build]) too. *)
     let service = Anyseq.Service.create ~capacity:(max 1 (Array.length pairs)) () in
     Anyseq.Trace.enable ~buffer ();
     ignore (Anyseq.align_batch ~service ~config pairs);
@@ -1266,110 +1266,98 @@ let analyze_cmd =
       !planted_bad
       (if !planted_bad = 1 then "" else "s");
     (* Runtime sweep: build every (builtin scheme x mode) through the
-       specialization cache with verification forced on — the verified
-       staged residual and the pre-generated native kernel — and check
-       that (a) a warm pass hits every entry, and (b) the native kernel
-       agrees with the generic linear-space engine on random inputs. *)
-    Printf.printf "\nruntime specialization-cache sweep (verification on)\n";
-    let saved = !Anyseq.Staged_kernel.verify_specializations in
-    Anyseq.Staged_kernel.verify_specializations := true;
+       specialization cache and check that (a) a warm pass hits every
+       entry, and (b) the native kernel, and the bit-parallel kernel where
+       a certificate admits one, agree with the generic linear-space
+       engine on random inputs. *)
+    Printf.printf "\nruntime specialization-cache sweep\n";
     let sweep_bad = ref 0 in
-    Fun.protect
-      ~finally:(fun () -> Anyseq.Staged_kernel.verify_specializations := saved)
-      (fun () ->
-        let cache =
-          Anyseq.Spec_cache.create
-            ~capacity:(List.length Anyseq.Scheme.builtins * List.length modes)
-            ()
-        in
-        let rng = Anyseq_util.Rng.create ~seed:2024 in
-        let sweep () =
+    let cache =
+      Anyseq.Spec_cache.create
+        ~capacity:(List.length Anyseq.Scheme.builtins * List.length modes)
+        ()
+    in
+    let rng = Anyseq_util.Rng.create ~seed:2024 in
+    let sweep () =
+      List.iter
+        (fun scheme ->
           List.iter
-            (fun scheme ->
-              List.iter
-                (fun (mode_name, mode) ->
-                  match Anyseq.Spec_cache.get cache scheme mode with
-                  | kernels ->
-                      let alphabet = Anyseq.Scheme.alphabet scheme in
-                      (match kernels.Anyseq.Spec_cache.native with
-                      | None -> ()
-                      | Some nk ->
-                          for _ = 1 to 10 do
-                            let q =
-                              Anyseq.Sequence.random rng alphabet
-                                ~len:(1 + Anyseq_util.Rng.int rng 64)
-                            and s =
-                              Anyseq.Sequence.random rng alphabet
-                                ~len:(1 + Anyseq_util.Rng.int rng 64)
-                            in
-                            let qv = Anyseq.Sequence.view q
-                            and sv = Anyseq.Sequence.view s in
-                            let reference =
-                              Anyseq_core.Dp_linear.score_only scheme mode ~query:qv
-                                ~subject:sv
-                            in
-                            let native =
-                              Anyseq.Workspace.with_ws (fun ws ->
-                                  nk.Anyseq.Native_kernel.score ~ws ~query:q ~subject:s)
-                            in
-                            if reference <> native then begin
-                              incr sweep_bad;
-                              Printf.printf
-                                "    MISMATCH %s %s: native (%d,%d,%d) vs engine (%d,%d,%d)\n"
-                                (Anyseq.Scheme.to_string scheme) mode_name native.Anyseq.Types.score
-                                native.Anyseq.Types.query_end native.Anyseq.Types.subject_end
-                                reference.Anyseq.Types.score reference.Anyseq.Types.query_end
-                                reference.Anyseq.Types.subject_end
-                            end;
-                            (* Certificate-gated bit-parallel tier (only
-                               present under a Unit_cost certificate): the
-                               converted Myers distance must be bit-identical
-                               to the generic engine. *)
-                            match kernels.Anyseq.Spec_cache.bitparallel with
-                            | None -> ()
-                            | Some bp ->
-                                let bpe =
-                                  Anyseq.Workspace.with_ws (fun ws ->
-                                      bp.Anyseq.Bitparallel.bp_score ~ws ~query:q ~subject:s)
-                                in
-                                if reference <> bpe then begin
-                                  incr sweep_bad;
-                                  Printf.printf
-                                    "    MISMATCH %s %s: bitparallel (%d,%d,%d) vs engine (%d,%d,%d)\n"
-                                    (Anyseq.Scheme.to_string scheme) mode_name
-                                    bpe.Anyseq.Types.score bpe.Anyseq.Types.query_end
-                                    bpe.Anyseq.Types.subject_end reference.Anyseq.Types.score
-                                    reference.Anyseq.Types.query_end
-                                    reference.Anyseq.Types.subject_end
-                                end
-                          done)
-                  | exception e ->
+            (fun (mode_name, mode) ->
+              match Anyseq.Spec_cache.get cache scheme mode with
+              | kernels ->
+                  let alphabet = Anyseq.Scheme.alphabet scheme in
+                  let nk = kernels.Anyseq.Spec_cache.native in
+                  for _ = 1 to 10 do
+                    let q =
+                      Anyseq.Sequence.random rng alphabet ~len:(1 + Anyseq_util.Rng.int rng 64)
+                    and s =
+                      Anyseq.Sequence.random rng alphabet ~len:(1 + Anyseq_util.Rng.int rng 64)
+                    in
+                    let qv = Anyseq.Sequence.view q and sv = Anyseq.Sequence.view s in
+                    let reference =
+                      Anyseq_core.Dp_linear.score_only scheme mode ~query:qv ~subject:sv
+                    in
+                    let native =
+                      Anyseq.Workspace.with_ws (fun ws ->
+                          nk.Anyseq.Native_kernel.score ~ws ~query:q ~subject:s)
+                    in
+                    if reference <> native then begin
                       incr sweep_bad;
-                      Printf.printf "    FAILED %s %s: %s\n"
-                        (Anyseq.Scheme.to_string scheme) mode_name (Printexc.to_string e))
-                modes)
-            Anyseq.Scheme.builtins
-        in
-        sweep ();
-        (* warm pass: every configuration must be served from cache *)
-        sweep ();
-        let st = Anyseq.Spec_cache.stats cache in
-        if st.Anyseq.Spec_cache.hits <> st.Anyseq.Spec_cache.misses then begin
-          incr sweep_bad;
-          Printf.printf "    cache warm pass missed: %d hits vs %d misses\n"
-            st.Anyseq.Spec_cache.hits st.Anyseq.Spec_cache.misses
-        end;
-        if st.Anyseq.Spec_cache.evictions > 0 then begin
-          incr sweep_bad;
-          Printf.printf "    unexpected evictions: %d\n" st.Anyseq.Spec_cache.evictions
-        end;
-        Printf.printf
-          "%d configurations cached (verified residual + native kernel), warm hit rate %.0f%%, %d \
-           problem%s\n"
-          st.Anyseq.Spec_cache.size
-          (100.0 *. Anyseq.Spec_cache.hit_rate st)
-          !sweep_bad
-          (if !sweep_bad = 1 then "" else "s"));
+                      Printf.printf
+                        "    MISMATCH %s %s: native (%d,%d,%d) vs engine (%d,%d,%d)\n"
+                        (Anyseq.Scheme.to_string scheme) mode_name native.Anyseq.Types.score
+                        native.Anyseq.Types.query_end native.Anyseq.Types.subject_end
+                        reference.Anyseq.Types.score reference.Anyseq.Types.query_end
+                        reference.Anyseq.Types.subject_end
+                    end;
+                    (* Certificate-gated bit-parallel tier (only present
+                       under a Unit_cost certificate): the converted Myers
+                       distance must be bit-identical to the generic
+                       engine. *)
+                    match kernels.Anyseq.Spec_cache.bitparallel with
+                    | None -> ()
+                    | Some bp ->
+                        let bpe =
+                          Anyseq.Workspace.with_ws (fun ws ->
+                              bp.Anyseq.Bitparallel.bp_score ~ws ~query:q ~subject:s)
+                        in
+                        if reference <> bpe then begin
+                          incr sweep_bad;
+                          Printf.printf
+                            "    MISMATCH %s %s: bitparallel (%d,%d,%d) vs engine (%d,%d,%d)\n"
+                            (Anyseq.Scheme.to_string scheme) mode_name bpe.Anyseq.Types.score
+                            bpe.Anyseq.Types.query_end bpe.Anyseq.Types.subject_end
+                            reference.Anyseq.Types.score reference.Anyseq.Types.query_end
+                            reference.Anyseq.Types.subject_end
+                        end
+                  done
+              | exception e ->
+                  incr sweep_bad;
+                  Printf.printf "    FAILED %s %s: %s\n" (Anyseq.Scheme.to_string scheme)
+                    mode_name (Printexc.to_string e))
+            modes)
+        Anyseq.Scheme.builtins
+    in
+    sweep ();
+    (* warm pass: every configuration must be served from cache *)
+    sweep ();
+    let st = Anyseq.Spec_cache.stats cache in
+    if st.Anyseq.Spec_cache.hits <> st.Anyseq.Spec_cache.misses then begin
+      incr sweep_bad;
+      Printf.printf "    cache warm pass missed: %d hits vs %d misses\n"
+        st.Anyseq.Spec_cache.hits st.Anyseq.Spec_cache.misses
+    end;
+    if st.Anyseq.Spec_cache.evictions > 0 then begin
+      incr sweep_bad;
+      Printf.printf "    unexpected evictions: %d\n" st.Anyseq.Spec_cache.evictions
+    end;
+    Printf.printf
+      "%d configurations cached (native kernel, bit-parallel where certified), warm hit rate \
+       %.0f%%, %d problem%s\n"
+      st.Anyseq.Spec_cache.size
+      (100.0 *. Anyseq.Spec_cache.hit_rate st)
+      !sweep_bad
+      (if !sweep_bad = 1 then "" else "s");
     if strict && (!total > 0 || !sweep_bad > 0 || !planted_bad > 0) then exit 1
   in
   Cmd.v
@@ -1381,9 +1369,9 @@ let analyze_cmd =
           allocation-freedom of residuals, semantic property certificates \
           (unit-cost equivalence, symmetry, score bounds) with independent \
           re-validation and planted-violation self-tests; then sweep the same \
-          configurations through the runtime specialization cache with \
-          verification on, differentially testing native and certificate-gated \
-          bit-parallel kernels against the generic engine.")
+          configurations through the runtime specialization cache, \
+          differentially testing native and certificate-gated bit-parallel \
+          kernels against the generic engine.")
     Term.(const run $ strict_t $ verbose_t)
 
 let () =

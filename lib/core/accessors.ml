@@ -1,85 +1,4 @@
-type matrix_view = {
-  rows : int;
-  cols : int;
-  read : int -> int -> int;
-  write : int -> int -> int -> unit;
-}
-
-let of_matrix m =
-  let rows = Array.length m in
-  let cols = if rows = 0 then 0 else Array.length m.(0) in
-  if Array.exists (fun row -> Array.length row <> cols) m then
-    invalid_arg "Accessors.of_matrix: ragged matrix";
-  {
-    rows;
-    cols;
-    read = (fun i j -> m.(i).(j));
-    write = (fun i j v -> m.(i).(j) <- v);
-  }
-
-let of_flat ~data ~rows ~cols =
-  if rows < 0 || cols < 0 || rows * cols > Array.length data then
-    invalid_arg "Accessors.of_flat: array too small";
-  {
-    rows;
-    cols;
-    read = (fun i j -> Array.unsafe_get data ((i * cols) + j));
-    write = (fun i j v -> Array.unsafe_set data ((i * cols) + j) v);
-  }
-
-let offset view ~oi ~oj ~rows ~cols =
-  if oi < 0 || oj < 0 || rows < 0 || cols < 0 || oi + rows > view.rows || oj + cols > view.cols
-  then invalid_arg "Accessors.offset: window exceeds parent view";
-  let read = view.read and write = view.write in
-  {
-    rows;
-    cols;
-    read = (fun i j -> read (oi + i) (oj + j));
-    write = (fun i j v -> write (oi + i) (oj + j) v);
-  }
-
-let transpose view =
-  let read = view.read and write = view.write in
-  {
-    rows = view.cols;
-    cols = view.rows;
-    read = (fun i j -> read j i);
-    write = (fun i j v -> write j i v);
-  }
-
-let cyclic_rows ~data ~mem_rows ~cols ~rows =
-  if mem_rows <= 0 || cols < 0 || mem_rows * cols > Array.length data then
-    invalid_arg "Accessors.cyclic_rows: array too small";
-  {
-    rows;
-    cols;
-    read = (fun i j -> Array.unsafe_get data ((i mod mem_rows * cols) + j));
-    write = (fun i j v -> Array.unsafe_set data ((i mod mem_rows * cols) + j) v);
-  }
-
-let coalesced_offset ~data ~mem_rows ~mem_cols ~oi ~oj ~rows ~cols =
-  if mem_rows <= 0 || mem_cols <= 0 || mem_rows * mem_cols > Array.length data then
-    invalid_arg "Accessors.coalesced_offset: array too small";
-  if oj + cols > mem_cols then
-    invalid_arg "Accessors.coalesced_offset: columns exceed physical width";
-  let pos i j = (((i + oi + j + oj + 2) mod mem_rows) * mem_cols) + j + oj in
-  {
-    rows;
-    cols;
-    read = (fun i j -> Array.unsafe_get data (pos i j));
-    write = (fun i j v -> Array.unsafe_set data (pos i j) v);
-  }
-
-let materialize view =
-  Array.init view.rows (fun i -> Array.init view.cols (fun j -> view.read i j))
-
 type best_tracker = { note : int -> int -> int -> unit; current : unit -> Types.ends }
-
-let no_tracking =
-  {
-    note = (fun _ _ _ -> ());
-    current = (fun () -> { Types.score = Types.neg_inf; query_end = 0; subject_end = 0 });
-  }
 
 let max_tracker () =
   let best = ref { Types.score = Types.neg_inf; query_end = 0; subject_end = 0 } in

@@ -1,73 +1,16 @@
-(** Data-access abstractions (§III-B / §III-C).
+(** The best-cell accessor (§III-C): the paper's [Scores] update tracking,
+    which the generic engines ({!Dp_linear}, {!Dp_full}, {!Ends_free},
+    {!Staged_kernel}) call once per noted cell.
 
-    The engines read and write scores through records of functions instead
-    of addressing storage directly, which is the paper's central structural
-    device: exchanging an accessor changes the memory layout (full matrix,
-    border stripes, cyclic row buffer, GPU-style offset/coalesced layout)
-    without touching relaxation code. Construction happens once per
-    alignment/tile, so the indirection cost sits outside inner loops. *)
-
-type matrix_view = {
-  rows : int;
-  cols : int;
-  read : int -> int -> int;
-  write : int -> int -> int -> unit;
-}
-(** A read/write 2D view of scores. Indices are view-relative and
-    unchecked in [read]/[write] (construction validates shapes). *)
-
-val of_matrix : int array array -> matrix_view
-(** View of a rectangular [int array array]; raises [Invalid_argument] on
-    ragged input. *)
-
-val of_flat : data:int array -> rows:int -> cols:int -> matrix_view
-(** Row-major view of a flat array; raises [Invalid_argument] when the
-    array is too small. *)
-
-val offset : matrix_view -> oi:int -> oj:int -> rows:int -> cols:int -> matrix_view
-(** Sub-window shifted by [(oi, oj)]; raises [Invalid_argument] when the
-    window exceeds the parent. *)
-
-val transpose : matrix_view -> matrix_view
-
-val cyclic_rows : data:int array -> mem_rows:int -> cols:int -> rows:int -> matrix_view
-(** A view of logical [rows × cols] backed by only [mem_rows] physical rows,
-    row index wrapped modulo [mem_rows] — the score-only storage of Fig. 1
-    (right): only a sliding band of rows is live. The caller must respect
-    the dependency structure (a row is overwritten once [mem_rows] newer
-    rows exist). *)
-
-val coalesced_offset :
-  data:int array ->
-  mem_rows:int ->
-  mem_cols:int ->
-  oi:int ->
-  oj:int ->
-  rows:int ->
-  cols:int ->
-  matrix_view
-(** The paper's [view_matrix_coal_offset]: position [(i, j)] is stored at
-    physical [((i + oi + j + oj + 2) mod mem_rows, j + oj)] so that
-    anti-diagonal neighbours land in consecutive physical rows — the GPU
-    coalescing layout. Raises [Invalid_argument] when [j + oj] can exceed
-    [mem_cols]. *)
-
-val materialize : matrix_view -> int array array
-(** Read every cell — test/debug helper. *)
-
-(** {1 Score-row accessors}
-
-    The paper's [Scores] struct: what a relaxation row needs from the
-    previous row plus update tracking. Used by the tiled engine. *)
+    The §III-B memory layouts are not views here: the border stripe is
+    updated in place by the row residual ({!Row_residual}, under
+    {!Tiling}'s loop nest), and the GPU's coalesced versus strided border
+    layout is the [layout] parameter of [Anyseq_gpusim.Align_kernel]. *)
 
 type best_tracker = {
   note : int -> int -> int -> unit;  (** [note score i j] *)
   current : unit -> Types.ends;
 }
-
-val no_tracking : best_tracker
-(** For global alignments: [note] does nothing ([current] returns
-    [neg_inf]) — the compile-time swap described at the end of §III-C. *)
 
 val max_tracker : unit -> best_tracker
 (** Keeps the running maximum and its position (strictly-greater updates,

@@ -7,13 +7,17 @@
     configurations are guaranteed to run through the same specialized
     kernel, which is what makes batching profitable. *)
 
+(** Where score-only jobs run. Traceback jobs run on the native residual
+    under every hint. *)
 type backend =
   | Auto
       (** executor picks per job: wavefront for huge score-only pairs
           when more than one domain is configured and the configuration
           has no [Unit_cost] certificate; otherwise the scalar residual,
           or bit-parallel Myers under that certificate *)
-  | Scalar  (** cached residual kernel / scalar engine *)
+  | Scalar
+      (** the cached native residual kernel, or bit-parallel Myers under a
+          [Unit_cost] certificate for score-only jobs *)
   | Simd
       (** {!Anyseq_simd.Inter_seq} lockstep batches. Jobs whose score range
           fails the 16-bit feasibility bound are refused with

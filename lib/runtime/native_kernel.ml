@@ -348,15 +348,17 @@ let full_align ~sub ~asize ~go:gopen ~ge ~ws mode ~(query : Seq.t) ~(subject : S
     if mode = Local then Alignment.trim_boundary_gaps result else result
   end
 
-(* Native forward half-pass for the Myers–Miller recursion: the unified
-   Gotoh corner sweep with the flat table (linear gaps are Go = 0), the
-   vertical gap open charged at [tb] along column 0, and the E(n,0)
-   boundary fixup — integer-identical to {!Anyseq_core.Dp_linear.last_rows},
-   so the divide-and-conquer takes the same joins and emits the same
-   CIGAR. Views (not [Seq.t]) because the recursion hands us reversed
-   sub-windows. The returned arrays are caller-owned (the documented
-   [last_rows] contract), hence exact-length and unpooled. *)
-let native_last_rows ~sub ~asize ~go:gopen ~ge ~tb ~(query : Seq.view)
+(* Native forward half-pass for the Myers–Miller recursion: the Gotoh
+   corner sweep of the row residual ({!Anyseq_core.Row_residual.aff_row};
+   linear gaps are Go = 0), the vertical gap open charged at [tb] along
+   column 0, and the E(n,0) boundary fixup — integer-identical to
+   {!Anyseq_core.Dp_linear.last_rows}, so the divide-and-conquer takes the
+   same joins and emits the same CIGAR. Views (not [Seq.t]) because the
+   recursion hands us reversed sub-windows: their subject codes are copied
+   once per call into workspace bytes for the sweep. The returned arrays
+   are caller-owned (the documented [last_rows] contract), hence
+   exact-length and unpooled. *)
+let native_last_rows ~sub ~asize ~go:gopen ~ge ~ws ~tb ~(query : Seq.view)
     ~(subject : Seq.view) =
   let n = query.Seq.len and m = subject.Seq.len in
   let hrow = Array.make (m + 1) 0 in
@@ -364,35 +366,25 @@ let native_last_rows ~sub ~asize ~go:gopen ~ge ~tb ~(query : Seq.view)
   for j = 1 to m do
     hrow.(j) <- -(gopen + (j * ge))
   done;
+  let scodes = Scratch.acquire_bytes ws m in
+  let s_at = subject.Seq.at in
+  for j = 0 to m - 1 do
+    Bytes.unsafe_set scodes j (Char.unsafe_chr (s_at j))
+  done;
   let goe = gopen + ge in
-  let q_at = query.Seq.at and s_at = subject.Seq.at in
-  let rec go j hdiag f hleft qrow =
-    if j <= m then begin
-      let sc = s_at (j - 1) in
-      let hj = Array.unsafe_get hrow j in
-      let e_ext = Array.unsafe_get erow j - ge and e_opn = hj - goe in
-      let e = if e_ext >= e_opn then e_ext else e_opn in
-      let f_ext = f - ge and f_opn = hleft - goe in
-      let fv = if f_ext >= f_opn then f_ext else f_opn in
-      let diag = hdiag + Array.unsafe_get sub (qrow + sc) in
-      let best = if diag >= e then diag else e in
-      let best = if best >= fv then best else fv in
-      Array.unsafe_set hrow j best;
-      Array.unsafe_set erow j e;
-      go (j + 1) hj fv best qrow
-    end
-  in
+  let q_at = query.Seq.at in
   for i = 1 to n do
     let qrow = q_at (i - 1) * asize in
     let border = -(tb + (i * ge)) in
     let hdiag0 = Array.unsafe_get hrow 0 in
     Array.unsafe_set hrow 0 border;
-    go 1 hdiag0 neg_inf border qrow
+    ignore (aff_row sub scodes hrow erow ge goe m 1 hdiag0 neg_inf border qrow)
   done;
+  Scratch.release_bytes ws scodes;
   erow.(0) <- (if n = 0 then neg_inf else -(tb + (n * ge)));
   (hrow, erow)
 
-let build scheme mode =
+let make scheme mode =
   let sub, asize = fold_subst scheme in
   let ge = Gaps.extend_cost scheme.Scheme.gap in
   let gopen = Gaps.open_cost scheme.Scheme.gap in
@@ -420,10 +412,6 @@ let build scheme mode =
           fun ~ws ~query ~subject ->
             lin_lastrc ~sub ~asize ~ge ~ws ~query ~subject
   in
-  let last_rows : Hirschberg.last_rows_fn =
-   fun _scheme ~tb ~query ~subject ->
-    native_last_rows ~sub ~asize ~go:gopen ~ge ~tb ~query ~subject
-  in
   let align ~ws ~query ~subject =
     (* The same shape dispatch as [Engine.align Auto], with both branches
        running on native residuals: dense predecessor walk for short
@@ -431,6 +419,13 @@ let build scheme mode =
     let cells = (Seq.length query + 1) * (Seq.length subject + 1) in
     if cells <= Engine.auto_full_matrix_limit then
       full_align ~sub ~asize ~go:gopen ~ge ~ws mode ~query ~subject
-    else Hirschberg.align ~last_rows ~ws scheme mode ~query ~subject
+    else
+      let last_rows : Hirschberg.last_rows_fn =
+       fun _scheme ~tb ~query ~subject ->
+        native_last_rows ~sub ~asize ~go:gopen ~ge ~ws ~tb ~query ~subject
+      in
+      Hirschberg.align ~last_rows ~ws scheme mode ~query ~subject
   in
-  Some { nk_scheme = scheme; nk_mode = mode; score; align }
+  { nk_scheme = scheme; nk_mode = mode; score; align }
+
+let build scheme mode = Some (make scheme mode)

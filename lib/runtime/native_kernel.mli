@@ -10,9 +10,9 @@
     — so the specialization cache can serve a kernel with {e zero} per-cell
     configuration dispatch. The row sweeps themselves live in
     {!Anyseq_core.Row_residual}, shared with the wavefront tiles
-    ({!Anyseq_core.Tiling.compute_tile}); this module holds the full-matrix
-    loop nests around them, the traceback residuals and the Hirschberg
-    half-pass:
+    ({!Anyseq_core.Tiling.compute_tile}) and with the Hirschberg half-pass
+    here; this module holds the loop nests around them and the traceback
+    residuals:
 
     - linear gaps drop the E/F recurrences entirely (E(i,j) = H(i−1,j) − Ge
       when Go = 0), roughly halving the per-cell work of the generic
@@ -31,8 +31,9 @@
     predecessor-byte layout and tie rules) under the dense-matrix limit,
     and {!Anyseq_core.Hirschberg} driven by a native forward half-pass
     above it — so scores, coordinates {e and} CIGARs match the generic
-    engines exactly, which the test suite enforces. The batch executor may
-    therefore mix native and generic execution freely. *)
+    engines exactly, which the test suite enforces. The batch executor runs
+    every scalar job, score and traceback, on these residuals; the generic
+    engines are their test oracles. *)
 
 type t = {
   nk_scheme : Anyseq_scoring.Scheme.t;
@@ -52,8 +53,11 @@ type t = {
     workspace; one-shot callers pass a fresh {!Anyseq_core.Scratch.create}
     or bracket with {!Workspace.with_ws}. *)
 
+val make : Anyseq_scoring.Scheme.t -> Anyseq_core.Types.mode -> t
+(** Fold a configuration into its straight-line residuals. Total: every
+    scheme admits a lookup-table fold and both gap models have a
+    residual, so the specialization cache holds one for every entry. *)
+
 val build : Anyseq_scoring.Scheme.t -> Anyseq_core.Types.mode -> t option
-(** Fold a configuration into its straight-line residuals. Currently total —
-    every scheme admits a lookup-table fold — but callers must handle
-    [None] so configurations outside the pre-generated set (future gap
-    models) can fall back to the staged-IR kernel. *)
+(** [Some (make scheme mode)]: the earlier, optional signature of {!make},
+    still called by the ledger's [reads] workload. *)

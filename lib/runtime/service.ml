@@ -3,8 +3,6 @@ module Bounds = Anyseq_scoring.Bounds
 module Alphabet = Anyseq_bio.Alphabet
 module Seq = Anyseq_bio.Sequence
 module Alignment = Anyseq_bio.Alignment
-module Engine = Anyseq_core.Engine
-module Dp_linear = Anyseq_core.Dp_linear
 module Inter_seq = Anyseq_simd.Inter_seq
 module Scheduler = Anyseq_wavefront.Scheduler
 module Timer = Anyseq_util.Timer
@@ -99,7 +97,7 @@ and ticket = {
 let long_pair_cells = 4_000_000
 
 let tier_names =
-  [ "bitparallel"; "banded"; "banded_cutoff"; "native"; "staged"; "simd"; "wavefront" ]
+  [ "bitparallel"; "banded"; "banded_cutoff"; "native"; "simd"; "wavefront" ]
 
 (* A timeout of 2^62 ns (~146 years) or more, infinity included, means no
    deadline; the cap also keeps [now + ns] clear of Int64 overflow. *)
@@ -224,23 +222,11 @@ let banded =
 (* The cached pre-generated residual. *)
 let native =
   let run e =
-    let nk = Option.get (Lazy.force e.e_kernels).Spec_cache.native in
+    let nk = (Lazy.force e.e_kernels).Spec_cache.native in
     if e.e_cfg.traceback then align_each e nk.Native_kernel.align
     else score_each e nk.Native_kernel.score
   in
   { name = "native"; span = "backend.native"; run }
-
-(* The generic engines, bit-identical to the residuals. *)
-let staged =
-  let run e =
-    let { Config.scheme; mode; traceback; _ } = e.e_cfg in
-    if traceback then
-      align_each e (fun ~ws ~query ~subject -> Engine.align ~ws scheme mode ~query ~subject)
-    else
-      score_each e (fun ~ws ~query ~subject ->
-          Dp_linear.score_only ~ws scheme mode ~query:(Seq.view query) ~subject:(Seq.view subject))
-  in
-  { name = "staged"; span = "backend.staged"; run }
 
 (* Lockstep 16-bit vector batches of pairs [refusal] has screened. *)
 let simd =
@@ -256,30 +242,25 @@ let wavefront =
   { name = "wavefront"; span = "backend.wavefront"; run }
 
 (* A mixed chunk runs its buckets in this order. *)
-let tiers = [ bitparallel; banded; native; staged; simd; wavefront ]
+let tiers = [ bitparallel; banded; native; simd; wavefront ]
 
-(* The whole routing policy for one job. Traceback takes the native
-   residual under Scalar/Auto when there is one. A score job follows an
-   explicit Simd or Wavefront hint. Otherwise a Unit_cost certificate (a
+(* The whole routing policy for one job. Every traceback job takes the
+   native residual, whatever the hint. A score job follows an explicit
+   Simd or Wavefront hint. Otherwise a Unit_cost certificate (a
    bit-parallel kernel in the cache entry) picks Myers, banded for a
    capped job, at any pair size: ~62 cells per word op beats wavefront
    parallelism at any realistic domain count. Auto escalates other pairs
    of [long_pair_cells] or more only when there are domains to win. *)
 let select t kernels (cfg : Config.t) p =
-  match cfg.backend with
-  | (Config.Simd | Config.Wavefront) when cfg.traceback -> staged
-  | Config.Simd -> simd
-  | Config.Wavefront -> wavefront
-  | Config.Scalar | Config.Auto ->
-      let k = Lazy.force kernels in
-      if k.Spec_cache.bitparallel <> None && not cfg.traceback then
+  if cfg.traceback then native
+  else
+    match cfg.backend with
+    | Config.Simd -> simd
+    | Config.Wavefront -> wavefront
+    | (Config.Scalar | Config.Auto) when (Lazy.force kernels).Spec_cache.bitparallel <> None ->
         if p.p_max_dist = None then bitparallel else banded
-      else if
-        cfg.backend = Config.Auto && (not cfg.traceback) && t.domains > 1
-        && cells_of p >= long_pair_cells
-      then wavefront
-      else if k.Spec_cache.native <> None then native
-      else staged
+    | Config.Auto when t.domains > 1 && cells_of p >= long_pair_cells -> wavefront
+    | Config.Scalar | Config.Auto -> native
 
 (* An explicit Simd hint is a contract: a score job whose range fails the
    16-bit bound is refused rather than silently de-vectorized. Empty

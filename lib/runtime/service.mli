@@ -30,19 +30,17 @@
     routed one by one by a single policy function, [select], over a
     fixed table of tiers: [bitparallel] (Myers edit distance),
     [banded] (Myers under the job's [max_dist] cap), [native] (the
-    cached pre-generated residual, {!Spec_cache.get}), [staged] (the
-    generic engines), [simd] ({!Anyseq_simd.Inter_seq.batch_score})
-    and [wavefront] ({!Anyseq_wavefront.Scheduler.score_many}).
-    [select] sends traceback jobs to [native] under [Scalar]/[Auto]
-    when the configuration has a residual, else to [staged]. Score jobs
+    cached pre-generated residual, {!Spec_cache.get}), [simd]
+    ({!Anyseq_simd.Inter_seq.batch_score}) and [wavefront]
+    ({!Anyseq_wavefront.Scheduler.score_many}). [select] sends every
+    traceback job to [native], whatever the backend hint. Score jobs
     follow an explicit [Simd] or [Wavefront] hint. Otherwise a
     [Unit_cost] certificate picks [bitparallel], or [banded] for a
     capped job, at any pair size. [Auto] escalates an uncertified pair
     to [wavefront] only when it is at least {!long_pair_cells} cells
     {e and} more than one domain is configured. Everything else runs
-    [native], or [staged] outside the pre-generated set. [Simd] score
-    jobs that fail the 16-bit overflow analysis of
-    {!Anyseq_scoring.Bounds} are refused with [Overflow_bound] before
+    [native]. [Simd] score jobs that fail the 16-bit overflow analysis
+    of {!Anyseq_scoring.Bounds} are refused with [Overflow_bound] before
     routing. A chunk runs its buckets in table order.
 
     Per-job deadlines ([timeout_s]) are checked once per chunk, before

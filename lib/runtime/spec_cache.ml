@@ -1,21 +1,14 @@
 module Scheme = Anyseq_scoring.Scheme
-module Staged_kernel = Anyseq_core.Staged_kernel
 module Alignment = Anyseq_bio.Alignment
 module Trace = Anyseq_trace.Trace
 open Anyseq_core.Types
 
-type kernels = {
-  native : Native_kernel.t option;
-  staged : Staged_kernel.kernel;
-  props : Anyseq_analysis.Property.report;
-  bitparallel : Bitparallel.t option;
-}
+type kernels = { native : Native_kernel.t; bitparallel : Bitparallel.t option }
 
 type entry = {
   e_scheme : Scheme.t;
   e_mode : mode;
   e_kernels : kernels;
-  e_verified : bool;  (** value of [verify_specializations] at build time *)
   mutable e_tick : int;  (** recency stamp for LRU eviction *)
 }
 
@@ -59,13 +52,11 @@ let key scheme mode =
 
 (* A name hit is only a real hit when the configuration is actually the
    same one: same substitution function (physical — closures have no
-   structural equality), same gap model, same mode, built under the current
-   verification regime. *)
+   structural equality), same gap model, same mode. *)
 let valid entry scheme mode =
   entry.e_scheme.Scheme.subst == scheme.Scheme.subst
   && entry.e_scheme.Scheme.gap = scheme.Scheme.gap
   && entry.e_mode = mode
-  && entry.e_verified = !Staged_kernel.verify_specializations
 
 let evict_lru t =
   let victim =
@@ -84,17 +75,12 @@ let evict_lru t =
 
 let build k scheme mode =
   Trace.with_span "cache.build" ~attrs:[ ("key", Trace.Str k) ] @@ fun () ->
-  (* The property pass runs at build time (one alphabet-square sweep —
-     cheap next to specialization) and its certificates gate the
-     bit-parallel tier: [bitparallel] is [Some] exactly when a
-     [Unit_cost] certificate admits this mode. No name-based dispatch. *)
+  (* The property pass runs at build time (one alphabet-square sweep) and
+     its certificates gate the bit-parallel tier: [bitparallel] is [Some]
+     exactly when a [Unit_cost] certificate admits this mode. No
+     name-based dispatch. *)
   let props = Anyseq_analysis.Property.analyze scheme in
-  {
-    native = Native_kernel.build scheme mode;
-    staged = Staged_kernel.specialize scheme mode `Compiled;
-    props;
-    bitparallel = Bitparallel.build scheme mode props;
-  }
+  { native = Native_kernel.make scheme mode; bitparallel = Bitparallel.build scheme mode props }
 
 let get t scheme mode =
   Mutex.lock t.lock;
@@ -121,13 +107,7 @@ let get t scheme mode =
       let kernels = build k scheme mode in
       if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
       Hashtbl.replace t.tbl k
-        {
-          e_scheme = scheme;
-          e_mode = mode;
-          e_kernels = kernels;
-          e_verified = !Staged_kernel.verify_specializations;
-          e_tick = t.tick;
-        };
+        { e_scheme = scheme; e_mode = mode; e_kernels = kernels; e_tick = t.tick };
       kernels
 
 let stats t =

@@ -5,14 +5,11 @@
     jobs over few configurations pays specialization once per
     configuration, not once per job.
 
-    Each entry holds both kernel tiers for the configuration: the
-    pre-generated straight-line residual ({!Native_kernel}) and the
-    staged-IR residual from {!Anyseq_core.Staged_kernel.specialize}
-    [`Compiled] (which runs the static-analysis verification gate when
-    {!Anyseq_core.Staged_kernel.verify_specializations} is set — e.g. under
-    [ANYSEQ_VERIFY=1]). Entries remember the verification flag they were
-    built under; flipping the flag invalidates them on next lookup, so
-    enabling verification mid-run cannot serve unverified kernels.
+    Each entry holds only the kernels the service runs for the
+    configuration: the pre-generated straight-line residual
+    ({!Native_kernel}) and, under a [Unit_cost] certificate, the
+    bit-parallel kernel. The property pass that issues certificates runs
+    at build time; its report is not kept.
 
     Scheme names are the hash key but are not trusted for identity: a hit
     additionally requires the entry's substitution function to be
@@ -21,26 +18,24 @@
     [invalidations]) instead of silently reusing the wrong kernel.
 
     All operations are thread-safe (one mutex; kernels are built inside it,
-    which serializes at most the ~10 µs specialization per miss). *)
+    which serializes the build of a miss). *)
 
 type t
 
 type kernels = {
-  native : Native_kernel.t option;
-  staged : Anyseq_core.Staged_kernel.kernel;
-  props : Anyseq_analysis.Property.report;
-      (** semantic certificates derived at build time *)
+  native : Native_kernel.t;
   bitparallel : Bitparallel.t option;
-      (** populated {e only} when [props] carries a [Unit_cost]
-          certificate admitting this entry's mode — proof-directed tier
-          selection; see DESIGN.md "Proof-directed specialization" *)
+      (** populated {e only} when the scheme's property report carries a
+          [Unit_cost] certificate admitting this entry's mode —
+          proof-directed tier selection; see DESIGN.md "Proof-directed
+          specialization" *)
 }
 
 type stats = {
   hits : int;
   misses : int;
   evictions : int;  (** LRU capacity evictions *)
-  invalidations : int;  (** verify-flag flips and scheme-identity conflicts *)
+  invalidations : int;  (** scheme-name collisions: same name, other scheme *)
   size : int;
   capacity : int;
 }
@@ -52,9 +47,7 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] must be positive. *)
 
 val get : t -> Anyseq_scoring.Scheme.t -> Anyseq_core.Types.mode -> kernels
-(** Lookup or build-and-insert, updating recency. May raise whatever the
-    verification gate of [Staged_kernel.specialize] raises when
-    verification is enabled and the configuration fails analysis. *)
+(** Lookup or build-and-insert, updating recency. *)
 
 val stats : t -> stats
 val hit_rate : stats -> float

@@ -337,48 +337,6 @@ let test_engine_banded_mode_guard () =
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_accessor_views () =
-  let m = Array.init 4 (fun i -> Array.init 5 (fun j -> (10 * i) + j)) in
-  let v = Accessors.of_matrix m in
-  Alcotest.(check int) "read" 23 (v.Accessors.read 2 3);
-  v.Accessors.write 2 3 99;
-  Alcotest.(check int) "write through" 99 m.(2).(3);
-  let o = Accessors.offset v ~oi:1 ~oj:2 ~rows:2 ~cols:2 in
-  Alcotest.(check int) "offset read" 12 (o.Accessors.read 0 0);
-  let t = Accessors.transpose v in
-  Alcotest.(check int) "transpose" 30 (t.Accessors.read 0 3);
-  Alcotest.check_raises "offset bounds"
-    (Invalid_argument "Accessors.offset: window exceeds parent view") (fun () ->
-      ignore (Accessors.offset v ~oi:3 ~oj:3 ~rows:2 ~cols:3))
-
-let test_accessor_flat_and_cyclic () =
-  let data = Array.make 12 0 in
-  let v = Accessors.of_flat ~data ~rows:3 ~cols:4 in
-  v.Accessors.write 1 2 7;
-  Alcotest.(check int) "flat layout" 7 data.(6);
-  let cdata = Array.make 8 0 in
-  let c = Accessors.cyclic_rows ~data:cdata ~mem_rows:2 ~cols:4 ~rows:100 in
-  c.Accessors.write 0 1 5;
-  Alcotest.(check int) "row 2 aliases row 0" 5 (c.Accessors.read 2 1);
-  c.Accessors.write 3 1 9;
-  Alcotest.(check int) "row 1 slot written via row 3" 9 (c.Accessors.read 1 1)
-
-let test_accessor_coalesced () =
-  let data = Array.make 64 0 in
-  let v =
-    Accessors.coalesced_offset ~data ~mem_rows:8 ~mem_cols:8 ~oi:1 ~oj:2 ~rows:4 ~cols:4
-  in
-  v.Accessors.write 0 0 42;
-  Alcotest.(check int) "readback through same view" 42 (v.Accessors.read 0 0);
-  (* the paper's layout: physical row = (i + oi + j + oj + 2) mod mem_rows *)
-  Alcotest.(check int) "physical location" 42 data.(((0 + 1 + 0 + 2 + 2) mod 8 * 8) + 2);
-  Alcotest.check_raises "width guard"
-    (Invalid_argument "Accessors.coalesced_offset: columns exceed physical width")
-    (fun () ->
-      ignore
-        (Accessors.coalesced_offset ~data ~mem_rows:8 ~mem_cols:8 ~oi:0 ~oj:6 ~rows:2
-           ~cols:4))
-
 let test_trackers () =
   let t = Accessors.max_tracker () in
   t.Accessors.note 5 1 1;
@@ -386,10 +344,7 @@ let test_trackers () =
   t.Accessors.note 5 3 3;
   let best = t.Accessors.current () in
   Alcotest.(check int) "max" 5 best.T.score;
-  Alcotest.(check int) "first max wins ties" 1 best.T.query_end;
-  let n = Accessors.no_tracking in
-  n.Accessors.note 100 1 1;
-  Alcotest.(check int) "no_tracking ignores" T.neg_inf (n.Accessors.current ()).T.score
+  Alcotest.(check int) "first max wins ties" 1 best.T.query_end
 
 (* ------------------------------------------------------------------ *)
 (* Hirschberg internals                                                *)
@@ -464,9 +419,6 @@ let () =
         ] );
       ( "accessors",
         [
-          Alcotest.test_case "views" `Quick test_accessor_views;
-          Alcotest.test_case "flat and cyclic" `Quick test_accessor_flat_and_cyclic;
-          Alcotest.test_case "coalesced" `Quick test_accessor_coalesced;
           Alcotest.test_case "trackers" `Quick test_trackers;
         ] );
       ( "hirschberg",

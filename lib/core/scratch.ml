@@ -15,6 +15,8 @@ let min_class = 4 (* smallest buffer: 16 slots *)
    oversized request cannot pin hundreds of megabytes in the arena. *)
 let max_pooled_len = 1 lsl 22
 
+type band_tally = { mutable certified : int; mutable dense : int; mutable rounds : int }
+
 type t = {
   int_stacks : int array array array; (* class -> free stack storage *)
   int_lens : int array; (* class -> live depth of that stack *)
@@ -23,6 +25,7 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable resizes : int;
+  band : band_tally;
 }
 
 let create () =
@@ -34,6 +37,7 @@ let create () =
     hits = 0;
     misses = 0;
     resizes = 0;
+    band = { certified = 0; dense = 0; rounds = 0 };
   }
 
 let class_of n =
@@ -121,3 +125,10 @@ let reset_stats t =
   t.hits <- 0;
   t.misses <- 0;
   t.resizes <- 0
+
+let band_tally t = t.band
+
+let reset_band_tally t =
+  t.band.certified <- 0;
+  t.band.dense <- 0;
+  t.band.rounds <- 0

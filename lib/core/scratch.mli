@@ -52,3 +52,19 @@ val resizes : t -> int
 (** Free-stack storage growths. *)
 
 val reset_stats : t -> unit
+
+(** {1 Band tally} — what the certified global band
+    ({!Anyseq_runtime.Native_kernel}) did with this arena. The batch
+    executor zeroes it before a native score bucket and adds it to its
+    [runtime/band_*] counters after; the arena's single owner makes the
+    plain mutable fields safe. *)
+
+type band_tally = {
+  mutable certified : int;  (** global score jobs the band settled *)
+  mutable dense : int;  (** global score jobs that ran the dense sweep *)
+  mutable rounds : int;  (** band sweeps run, certified or not *)
+}
+
+val band_tally : t -> band_tally
+
+val reset_band_tally : t -> unit

@@ -183,6 +183,154 @@ let aff_lastrc ~sub ~asize ~go:gopen ~ge ~ws ~(query : Seq.t) ~(subject : Seq.t)
   Scratch.release ws erow;
   { score = !best_sc; query_end = !best_i; subject_end = !best_j }
 
+(* ---------- certified band for global scores ---------- *)
+
+(* Global score of the paths that stay within [w] diagonals of the main
+   one: row i covers columns [max 1 (i − w) .. min m (i + w)], every cell
+   outside the band is −∞. The row sweeps are the dense ones run over the
+   band's column window, so each band cell gets exactly the dense
+   recurrence. Pooled rows come back dirty: column i + w enters the band
+   at row i, and its "up" values must read −∞ there, or a stale value from
+   an earlier call leaks in and the band can score above the optimum.
+   Column 0 holds the true border H(i, 0) while i ≤ w and −∞ after. The
+   caller guarantees w ≥ |m − n|, so (n, m) lies in the band.
+
+   Every eighth row the sweep may stop early: any band path crosses row i
+   at some band cell, so the row's largest H plus s_max per remaining row
+   bounds the band's score from above. Once that bound falls below
+   [floor], the sweep returns the bound, which is then below [floor] and
+   at least the band's score. The rows are top-level recursions, so a
+   call allocates nothing. *)
+let rec row_max hrow j hi best =
+  if j > hi then best
+  else
+    let h = Array.unsafe_get hrow j in
+    row_max hrow (j + 1) hi (if h > best then h else best)
+
+let rec lin_band_rows sub qcodes scodes asize hrow ge n m w smax floor i =
+  if i > n then hrow.(m)
+  else begin
+    let qrow = Char.code (Bytes.unsafe_get qcodes (i - 1)) * asize in
+    if i + w <= m then Array.unsafe_set hrow (i + w) neg_inf;
+    let lo = if i > w then i - w else 1 in
+    let hi = if i + w < m then i + w else m in
+    let hdiag = Array.unsafe_get hrow (lo - 1) in
+    let hleft = if i <= w then -(i * ge) else neg_inf in
+    Array.unsafe_set hrow 0 hleft;
+    lin_row sub scodes hrow ge hi lo hdiag hleft qrow;
+    let bound = if i land 7 = 0 then row_max hrow lo hi neg_inf + (smax * (n - i)) else floor in
+    if bound < floor then bound
+    else lin_band_rows sub qcodes scodes asize hrow ge n m w smax floor (i + 1)
+  end
+
+let rec aff_band_rows sub qcodes scodes asize hrow erow gopen ge n m w smax floor i =
+  if i > n then hrow.(m)
+  else begin
+    let qrow = Char.code (Bytes.unsafe_get qcodes (i - 1)) * asize in
+    if i + w <= m then begin
+      Array.unsafe_set hrow (i + w) neg_inf;
+      Array.unsafe_set erow (i + w) neg_inf
+    end;
+    let lo = if i > w then i - w else 1 in
+    let hi = if i + w < m then i + w else m in
+    let hdiag = Array.unsafe_get hrow (lo - 1) in
+    let hleft = if i <= w then -(gopen + (i * ge)) else neg_inf in
+    Array.unsafe_set hrow 0 hleft;
+    ignore (aff_row sub scodes hrow erow ge (gopen + ge) hi lo hdiag neg_inf hleft qrow);
+    let bound = if i land 7 = 0 then row_max hrow lo hi neg_inf + (smax * (n - i)) else floor in
+    if bound < floor then bound
+    else aff_band_rows sub qcodes scodes asize hrow erow gopen ge n m w smax floor (i + 1)
+  end
+
+let lin_band ~sub ~asize ~ge ~ws ~(query : Seq.t) ~(subject : Seq.t) ~smax ~floor ~w =
+  let n = Seq.length query and m = Seq.length subject in
+  let hrow = Scratch.acquire ws (m + 1) in
+  for j = 0 to min m w do
+    hrow.(j) <- -(j * ge)
+  done;
+  let score =
+    lin_band_rows sub (Seq.unsafe_codes query) (Seq.unsafe_codes subject) asize hrow ge n m w
+      smax floor 1
+  in
+  Scratch.release ws hrow;
+  score
+
+let aff_band ~sub ~asize ~go:gopen ~ge ~ws ~(query : Seq.t) ~(subject : Seq.t) ~smax ~floor ~w
+    =
+  let n = Seq.length query and m = Seq.length subject in
+  let hrow = Scratch.acquire ws (m + 1) in
+  let erow = Scratch.acquire ws (m + 1) in
+  hrow.(0) <- 0;
+  for j = 1 to min m w do
+    hrow.(j) <- -(gopen + (j * ge))
+  done;
+  Array.fill erow 0 (min m w + 1) neg_inf;
+  let score =
+    aff_band_rows sub (Seq.unsafe_codes query) (Seq.unsafe_codes subject) asize hrow erow gopen
+      ge n m w smax floor 1
+  in
+  Scratch.release ws hrow;
+  Scratch.release ws erow;
+  score
+
+(* A round whose band holds a quarter of the shorter side's columns or
+   more costs too much next to the dense sweep it might still need. *)
+let band_wide ~n ~m w = 4 * ((2 * w) + 1) >= min n m
+
+(* U(w): the best score any global path leaving the w-band can reach.
+   Such a path gets to diagonal ±(w + 1) and back to m − n, so it has at
+   least g = 2(w + 1) − δ gap symbols in at least two runs, and at most
+   (n + m − g)/2 aligned pairs (n + m − g is even). DESIGN.md has the
+   argument and the admissibility condition. *)
+let band_ceiling ~smax ~go ~ge ~n ~m w =
+  let g = (2 * (w + 1)) - abs (m - n) in
+  (smax * ((n + m - g) / 2)) - (2 * go) - (g * ge)
+
+let dense_global ~affine ~sub ~asize ~go ~ge ~ws ~query ~subject =
+  let tally = Scratch.band_tally ws in
+  tally.dense <- tally.dense + 1;
+  if affine then aff_corner ~sub ~asize ~go ~ge ~ws ~query ~subject
+  else lin_corner ~sub ~asize ~ge ~ws ~query ~subject
+
+let band_sweep ~affine ~sub ~asize ~smax ~go ~ge ~ws ~query ~subject ~floor ~w =
+  let tally = Scratch.band_tally ws in
+  tally.rounds <- tally.rounds + 1;
+  if affine then aff_band ~sub ~asize ~go ~ge ~ws ~query ~subject ~smax ~floor ~w
+  else lin_band ~sub ~asize ~ge ~ws ~query ~subject ~smax ~floor ~w
+
+let certified ~ws ~n ~m score =
+  let tally = Scratch.band_tally ws in
+  tally.certified <- tally.certified + 1;
+  { score; query_end = n; subject_end = m }
+
+(* The global score: at most two band rounds, each returned only under
+   the certificate L(w) ≥ U(w), else the dense corner sweep. Round one
+   uses w₀ = max 4 δ. If it fails, each +1 in w lowers U by exactly
+   [step] = s_max + 2·Ge, so round two jumps to the smallest w₁ with
+   U(w₁) ≤ L(w₀); a wider band scores at least as well, so
+   L(w₁) ≥ L(w₀) ≥ U(w₁) and round two always certifies. Round one may
+   stop early once its bound drops below U(w_max), w_max the widest band
+   that is not wide: the jump from such a score lands past w_max, so the
+   job runs dense as it would have after the full sweep. The certificate
+   needs s_max ≥ 0 and [step] > 0; other schemes run dense. *)
+let band_global ~affine ~sub ~asize ~smax ~go ~ge ~ws ~(query : Seq.t) ~(subject : Seq.t) =
+  let n = Seq.length query and m = Seq.length subject in
+  let step = smax + (2 * ge) in
+  let w0 = max 4 (abs (m - n)) in
+  if smax < 0 || step <= 0 || band_wide ~n ~m w0 then
+    dense_global ~affine ~sub ~asize ~go ~ge ~ws ~query ~subject
+  else
+    let floor = band_ceiling ~smax ~go ~ge ~n ~m ((min n m - 5) / 8) in
+    let l0 = band_sweep ~affine ~sub ~asize ~smax ~go ~ge ~ws ~query ~subject ~floor ~w:w0 in
+    let u0 = band_ceiling ~smax ~go ~ge ~n ~m w0 in
+    if l0 >= u0 then certified ~ws ~n ~m l0
+    else
+      let w1 = w0 + ((u0 - l0 + step - 1) / step) in
+      if band_wide ~n ~m w1 then dense_global ~affine ~sub ~asize ~go ~ge ~ws ~query ~subject
+      else
+        certified ~ws ~n ~m
+          (band_sweep ~affine ~sub ~asize ~smax ~go ~ge ~ws ~query ~subject ~floor:min_int ~w:w1)
+
 (* ---------- traceback residuals ---------- *)
 
 (* Predecessor byte layout — must match {!Anyseq_core.Dp_full} exactly:
@@ -388,29 +536,20 @@ let make scheme mode =
   let sub, asize = fold_subst scheme in
   let ge = Gaps.extend_cost scheme.Scheme.gap in
   let gopen = Gaps.open_cost scheme.Scheme.gap in
+  let affine = Gaps.is_affine scheme.Scheme.gap in
+  let smax = Array.fold_left max min_int sub in
   let score =
-    if Gaps.is_affine scheme.Scheme.gap then
-      match mode with
-      | Global ->
-          fun ~ws ~query ~subject ->
-            aff_corner ~sub ~asize ~go:gopen ~ge ~ws ~query ~subject
-      | Local ->
-          fun ~ws ~query ~subject ->
-            aff_all ~sub ~asize ~go:gopen ~ge ~ws ~query ~subject
-      | Semiglobal ->
-          fun ~ws ~query ~subject ->
-            aff_lastrc ~sub ~asize ~go:gopen ~ge ~ws ~query ~subject
-    else
-      match mode with
-      | Global ->
-          fun ~ws ~query ~subject ->
-            lin_corner ~sub ~asize ~ge ~ws ~query ~subject
-      | Local ->
-          fun ~ws ~query ~subject ->
-            lin_all ~sub ~asize ~ge ~ws ~query ~subject
-      | Semiglobal ->
-          fun ~ws ~query ~subject ->
-            lin_lastrc ~sub ~asize ~ge ~ws ~query ~subject
+    match (mode, affine) with
+    | Global, _ ->
+        fun ~ws ~query ~subject ->
+          band_global ~affine ~sub ~asize ~smax ~go:gopen ~ge ~ws ~query ~subject
+    | Local, true ->
+        fun ~ws ~query ~subject -> aff_all ~sub ~asize ~go:gopen ~ge ~ws ~query ~subject
+    | Semiglobal, true ->
+        fun ~ws ~query ~subject -> aff_lastrc ~sub ~asize ~go:gopen ~ge ~ws ~query ~subject
+    | Local, false -> fun ~ws ~query ~subject -> lin_all ~sub ~asize ~ge ~ws ~query ~subject
+    | Semiglobal, false ->
+        fun ~ws ~query ~subject -> lin_lastrc ~sub ~asize ~ge ~ws ~query ~subject
   in
   let align ~ws ~query ~subject =
     (* The same shape dispatch as [Engine.align Auto], with both branches

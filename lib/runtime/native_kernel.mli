@@ -25,7 +25,18 @@
       warmed batch runs with ~zero minor allocations per alignment.
 
     [score] results are bit-identical to {!Anyseq_core.Dp_linear.score_only}
-    — same note order, same strictly-greater tie rule. [align] replicates
+    — same note order, same strictly-greater tie rule. A [Global] score
+    first runs a band: the sweeps over the columns within w diagonals of
+    the main one, w₀ = max 4 |m − n|. It returns the band's score L(w)
+    only when L(w) ≥ U(w), the best score any path leaving the band can
+    reach, which proves L(w) optimal. A failed first round jumps once to
+    the smallest w whose U lies at or below L(w₀), and that round always
+    certifies. Bands holding a quarter of the shorter side or more, and
+    schemes whose best substitution is negative or for which U does not
+    fall as w grows (s_max + 2·Ge ≤ 0), run the dense sweep instead. Each
+    call records how it ended in the workspace's
+    {!Anyseq_core.Scratch.band_tally}. Local and semi-global scores, and
+    every [align], run dense. [align] replicates
     {!Anyseq_core.Engine.align}'s [Auto] dispatch with native residuals on
     both branches: a straight-line {!Anyseq_core.Dp_full} replica (same
     predecessor-byte layout and tie rules) under the dense-matrix limit,

@@ -7,6 +7,7 @@ module Inter_seq = Anyseq_simd.Inter_seq
 module Scheduler = Anyseq_wavefront.Scheduler
 module Timer = Anyseq_util.Timer
 module Trace = Anyseq_trace.Trace
+module Scratch = Anyseq_core.Scratch
 open Anyseq_core.Types
 
 type job = {
@@ -152,7 +153,7 @@ type env = {
   e_cfg : Config.t;
   e_kernels : Spec_cache.kernels Lazy.t;
   e_results : (outcome, Error.t) result array;
-  e_ws : Anyseq_core.Scratch.t;
+  e_ws : Scratch.t;
 }
 
 type tier = {
@@ -219,12 +220,22 @@ let banded =
   in
   { name = "banded"; span = "backend.myers_banded"; run }
 
-(* The cached pre-generated residual. *)
+(* The cached pre-generated residual. A score bucket reads the
+   workspace's band tally into [runtime/band_*]: every global score job
+   counts once as certified or dense. *)
 let native =
-  let run e =
+  let run e jobs =
     let nk = (Lazy.force e.e_kernels).Spec_cache.native in
-    if e.e_cfg.traceback then align_each e nk.Native_kernel.align
-    else score_each e nk.Native_kernel.score
+    if e.e_cfg.traceback then align_each e nk.Native_kernel.align jobs
+    else begin
+      Scratch.reset_band_tally e.e_ws;
+      let n = score_each e nk.Native_kernel.score jobs in
+      let b = Scratch.band_tally e.e_ws and m = e.e_svc.metrics in
+      Metrics.add (Metrics.counter m "runtime/band_certified") b.Scratch.certified;
+      Metrics.add (Metrics.counter m "runtime/band_dense") b.Scratch.dense;
+      Metrics.add (Metrics.counter m "runtime/band_rounds") b.Scratch.rounds;
+      n
+    end
   in
   { name = "native"; span = "backend.native"; run }
 
@@ -516,6 +527,8 @@ let create ?(capacity = 1024) ?(batch_size = 256) ?(shards = 1)
     }
   in
   Metrics.gauge_set t.metrics "runtime/shards" shards;
+  (* registered up front, so a scrape shows them before the first job *)
+  List.iter (fun n -> ignore (ctr t n)) [ "band_certified"; "band_dense"; "band_rounds" ];
   (* Multi-shard pools get one worker domain per shard; a single-shard
      pool spawns nothing and [await] executes on the caller — the
      pre-shard hot path, unchanged. *)

@@ -238,7 +238,13 @@ val tier_names : string list
     counts its jobs under the [runtime/tier_n] counter. *)
 
 val tier_counts : t -> (string * int) list
-(** Each of {!tier_names} with its job count so far, in that order. *)
+(** Each of {!tier_names} with its job count so far, in that order.
+
+    The [native] tier's global score jobs are also counted by how the
+    certified band ({!Native_kernel}) settled them:
+    [runtime/band_certified] (the band's score was proven optimal) plus
+    [runtime/band_dense] (the dense sweep ran) equals those jobs, and
+    [runtime/band_rounds] counts the band sweeps run. *)
 
 val default : unit -> t
 (** Lazily-created shared service, used by [Anyseq.align_batch]. *)

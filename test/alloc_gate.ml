@@ -16,11 +16,12 @@ module Sequence = Anyseq.Sequence
 module Service = Anyseq.Service
 module Config = Anyseq.Config
 
-(* Budget, in minor words per alignment, for a 50-150 bp score-only
-   batch. Steady state measures ~81: two sequence parses (~17 words each
-   of packed codes), the prepared-job record, the result cell, and the
-   grouping cons cells; the kernel itself contributes only its 4-word
-   [ends] record. 100 leaves headroom for compiler version drift without
+(* Budget, in minor words per alignment, for a score-only batch of
+   50-150 bp pairs, and the same for 150-bp read pairs that take the
+   certified global band. Steady state measures ~89 on the first row:
+   two sequence parses (~17 words each of packed codes), the
+   prepared-job record, the result cell, and the grouping cons cells;
+   the kernel itself contributes only its 4-word [ends] record. 100 leaves headroom for compiler version drift without
    letting a per-row allocation (151+ words) or a per-cell one sneak
    back in. *)
 let budget_words_per_alignment = 100.0
@@ -32,18 +33,11 @@ let measured_batches = 16
 let random_sequence rng len =
   String.init len (fun _ -> "ACGT".[Rng.int rng 4])
 
-let () =
-  let svc = Service.create () in
-  let rng = Rng.create ~seed:2024 in
-  let config = Config.make ~traceback:false ~backend:Config.Scalar () in
-  let jobs =
-    Array.init jobs_per_batch (fun _ ->
-        let query = random_sequence rng (50 + Rng.int rng 101) in
-        let subject = random_sequence rng (50 + Rng.int rng 101) in
-        Service.job ~config ~query ~subject ())
-  in
+(* One row of the gate: warm up with [run] (one batch of [count] jobs),
+   then measure it. Returns whether the row held its budget. *)
+let row ~label ~count run =
   let run_batch () =
-    let results = Service.run svc jobs in
+    let results = run () in
     Array.iter
       (function
         | Ok _ -> ()
@@ -61,15 +55,54 @@ let () =
   done;
   let per_alignment =
     (Gc.minor_words () -. before)
-    /. float_of_int (measured_batches * jobs_per_batch)
+    /. float_of_int (measured_batches * count)
   in
   Printf.printf
-    "alloc-gate: %.1f minor words/alignment (budget %.0f, %d alignments measured)\n"
-    per_alignment budget_words_per_alignment
-    (measured_batches * jobs_per_batch);
+    "alloc-gate: %s: %.1f minor words/alignment (budget %.0f, %d alignments measured)\n"
+    label per_alignment budget_words_per_alignment
+    (measured_batches * count);
   if per_alignment >= budget_words_per_alignment then begin
     Printf.eprintf
-      "alloc-gate FAILED: steady-state allocation %.1f >= %.0f minor words/alignment\n"
-      per_alignment budget_words_per_alignment;
-    exit 1
+      "alloc-gate FAILED: %s: steady-state allocation %.1f >= %.0f minor words/alignment\n"
+      label per_alignment budget_words_per_alignment;
+    false
   end
+  else true
+
+let () =
+  let svc = Service.create () in
+  let rng = Rng.create ~seed:2024 in
+  let config = Config.make ~traceback:false ~backend:Config.Scalar () in
+  (* Unrelated pairs: mostly the dense global sweep. *)
+  let random_jobs =
+    Array.init jobs_per_batch (fun _ ->
+        let query = random_sequence rng (50 + Rng.int rng 101) in
+        let subject = random_sequence rng (50 + Rng.int rng 101) in
+        Service.job ~config ~query ~subject ())
+  in
+  (* Simulated reads against their origin windows, parsed once as the
+     reads workload submits them: the row is the certified global band's
+     allocation, without the parse of longer strings. *)
+  let read_jobs =
+    Array.map
+      (fun (q, s) ->
+        let dna5 x = Sequence.of_string Anyseq.Alphabet.dna5 (Sequence.to_string x) in
+        Service.seq_job ~config ~query:(dna5 q) ~subject:(dna5 s) ())
+      (Anyseq.Read_sim.read_pairs ~seed:2024 ~reference_len:20_000 ~read_len:150
+         ~count:jobs_per_batch)
+  in
+  let ok_random =
+    row ~label:"random 50-150 bp" ~count:jobs_per_batch (fun () -> Service.run svc random_jobs)
+  in
+  let ok_reads =
+    row ~label:"150-bp read pairs" ~count:jobs_per_batch (fun () ->
+        Service.run_seqs svc read_jobs)
+  in
+  let band =
+    Option.value ~default:0 (Anyseq.Metrics.find (Service.metrics svc) "runtime/band_certified")
+  in
+  if band = 0 then begin
+    Printf.eprintf "alloc-gate FAILED: the read-pair row never took the certified band\n";
+    exit 1
+  end;
+  if not (ok_random && ok_reads) then exit 1

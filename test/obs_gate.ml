@@ -25,7 +25,13 @@
 
    5. {b Every batch has one close reason.} The [server/batch_close_*]
       counters (full, idle, window, drain) sum to the number of batches
-      the [server/batch_jobs] histogram observed. *)
+      the [server/batch_jobs] histogram observed.
+
+   6. {b Every native global score job has one band outcome.} The load
+      is global score jobs on the native tier, so
+      [runtime/band_certified] + [runtime/band_dense] equals
+      [runtime/tier_native], and all three [runtime/band_*] counters are
+      exported. *)
 
 module Rng = Anyseq_util.Rng
 module Service = Anyseq.Service
@@ -206,6 +212,17 @@ let () =
           checkf "batches" "close reasons %d = batch_jobs count %d" closes
             (Metrics.hist_count h) (closes = Metrics.hist_count h)
       | None -> check "server/batch_jobs missing" false);
+      (* ---- 6: the band settles or hands over every native score job ---- *)
+      let count name = Option.value ~default:0 (Metrics.find m ("runtime/" ^ name)) in
+      let native = count "tier_native" in
+      checkf "band" "certified %d + dense %d = native global score jobs %d"
+        (count "band_certified") (count "band_dense") native
+        (count "band_certified" + count "band_dense" = native && native > 0);
+      List.iter
+        (fun name ->
+          checkf "band" "%s exported" name
+            (contains metrics_body ~affix:("anyseq_runtime_" ^ name ^ " ")))
+        [ "band_certified"; "band_dense"; "band_rounds" ];
       Server.stop srv);
   Trace.disable ();
   if !failures > 0 then begin
@@ -214,5 +231,6 @@ let () =
   end;
   Printf.printf
     "obs-gate: %d traced requests; stitched spans, 5 stage histograms at count %d, \
-     per-shard gauges consistent, flight ring populated, one close reason per batch\n"
+     per-shard gauges consistent, flight ring populated, one close reason per batch, \
+     one band outcome per native job\n"
     n_requests n_requests

@@ -9,7 +9,6 @@ module Scheme = Anyseq_scoring.Scheme
 module T = Anyseq_core.Types
 module EF = Anyseq_core.Ends_free
 module Myers = Anyseq_core.Myers
-module Db_search = Anyseq_simd.Db_search
 module Rng = Anyseq_util.Rng
 
 let dna = Sequence.of_string Alphabet.dna4
@@ -314,49 +313,6 @@ let test_myers_upto_degenerate () =
   Alcotest.(check (option int)) "length gap alone exceeds k" None
     (Myers.distance_upto ~k:2 (dna "ACGTACG") x)
 
-(* ------------------------------------------------------------------ *)
-(* Db_search                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_db_search_top_k () =
-  let rng = Rng.create ~seed:91 in
-  let query = Helpers.random_dna rng ~len:60 in
-  let subjects =
-    Array.init 40 (fun i ->
-        if i = 17 then query (* a perfect hit *)
-        else Helpers.random_dna rng ~len:(55 + (i mod 4)))
-  in
-  let hits = Db_search.top_k ~lanes:8 Scheme.paper_linear T.Local ~query ~subjects ~k:3 in
-  Alcotest.(check int) "k hits" 3 (List.length hits);
-  let best = List.hd hits in
-  Alcotest.(check int) "perfect subject wins" 17 best.Db_search.index;
-  Alcotest.(check int) "perfect score" 120 best.Db_search.ends.T.score;
-  (* sorted descending *)
-  let scores = List.map (fun h -> h.Db_search.ends.T.score) hits in
-  Alcotest.(check (list int)) "descending" (List.sort (fun a b -> compare b a) scores) scores
-
-let db_search_matches_scalar =
-  Helpers.qtest ~count:25 "db_search = per-pair scalar scores"
-    QCheck2.Gen.(tup2 (map (fun seed -> Rng.create ~seed) nat) (oneofl Helpers.modes_under_test))
-    (fun (rng, mode) ->
-      let query = Helpers.random_dna rng ~len:(1 + Rng.int rng 40) in
-      let subjects = Array.init 20 (fun _ -> Helpers.random_dna rng ~len:(1 + Rng.int rng 40)) in
-      let scores = Db_search.score_all ~lanes:4 Scheme.paper_affine mode ~query ~subjects in
-      Array.for_all2
-        (fun got s ->
-          got
-          = Anyseq_core.Dp_linear.score_only Scheme.paper_affine mode
-              ~query:(Sequence.view query) ~subject:(Sequence.view s))
-        scores subjects)
-
-let test_db_search_k_edge_cases () =
-  let query = dna "ACGT" in
-  let subjects = [| dna "ACGT"; dna "TTTT" |] in
-  Alcotest.(check int) "k=0" 0
-    (List.length (Db_search.top_k Scheme.paper_linear T.Local ~query ~subjects ~k:0));
-  Alcotest.(check int) "k beyond size" 2
-    (List.length (Db_search.top_k Scheme.paper_linear T.Local ~query ~subjects ~k:10))
-
 let () =
   Alcotest.run "extensions"
     [
@@ -382,11 +338,5 @@ let () =
           myers_upto_diagonal_edges;
           Alcotest.test_case "upto hopeless" `Quick test_myers_upto_hopeless;
           Alcotest.test_case "upto degenerate" `Quick test_myers_upto_degenerate;
-        ] );
-      ( "db_search",
-        [
-          Alcotest.test_case "top_k" `Quick test_db_search_top_k;
-          db_search_matches_scalar;
-          Alcotest.test_case "k edge cases" `Quick test_db_search_k_edge_cases;
         ] );
     ]

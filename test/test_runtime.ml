@@ -232,6 +232,292 @@ let test_steady_state_allocation_budget () =
     true (per < 100.0)
 
 (* ------------------------------------------------------------------ *)
+(* Certified global band                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* U(w), the ceiling of every path leaving the band (DESIGN.md,
+   "Certified band for global scores"). *)
+let band_ceiling scheme ~n ~m w =
+  let smax = Substitution.max_score scheme.Scheme.subst in
+  let g = (2 * (w + 1)) - abs (m - n) in
+  (smax * ((n + m - g) / 2))
+  - (2 * Gaps.open_cost scheme.Scheme.gap)
+  - (g * Gaps.extend_cost scheme.Scheme.gap)
+
+let global_reference scheme q s =
+  Dp_linear.score_only scheme T.Global ~query:(Sequence.view q) ~subject:(Sequence.view s)
+
+(* Letters each pair is drawn from: protein pairs lean on W, the residue
+   that reaches BLOSUM62's largest score, so that its band can certify. *)
+let band_letters scheme =
+  match Alphabet.size (Scheme.alphabet scheme) with
+  | 4 -> "ACGT"
+  | 5 -> "ACGTACGTACGTN"
+  | _ -> "WWWWWWWWCHY"
+
+let rand_str rng letters len =
+  String.init len (fun _ -> letters.[Rng.int rng (String.length letters)])
+
+(* A copy of [s] in which each position, with probability [div], is
+   substituted, deleted or followed by one to three inserted letters. *)
+let diverge rng letters div s =
+  let b = Buffer.create (String.length s + 16) in
+  String.iter
+    (fun c ->
+      if Rng.float rng 1.0 >= div then Buffer.add_char b c
+      else
+        match Rng.int rng 3 with
+        | 0 -> Buffer.add_char b letters.[Rng.int rng (String.length letters)]
+        | 1 -> ()
+        | _ ->
+            Buffer.add_char b c;
+            Buffer.add_string b (rand_str rng letters (1 + Rng.int rng 3)))
+    s;
+  Buffer.contents b
+
+(* Pairs whose optimal path leaves the first band by a few diagonals:
+   [x] is deleted before the homopolymer [hom] and [y] inserted after it,
+   so the out-of-band path scores U(w₀) or close to it, and the in-band
+   path that mismatches across [hom] scores a little less. *)
+let excursion rng letters ~depth =
+  let c = letters.[0] in
+  let other () =
+    let rec pick () =
+      let x = letters.[Rng.int rng (String.length letters)] in
+      if x = c then pick () else x
+    in
+    pick ()
+  in
+  let flank () = rand_str rng letters (20 + Rng.int rng 110) in
+  let p = flank () and sfx = flank () in
+  let hom = String.make (Rng.int rng 12) c in
+  let x = String.init depth (fun _ -> other ()) and y = String.init depth (fun _ -> other ()) in
+  (p ^ x ^ hom ^ sfx, p ^ hom ^ y ^ sfx)
+
+let band_pair rng scheme =
+  let letters = band_letters scheme in
+  let a, b =
+    match Rng.int rng 3 with
+    | 0 -> excursion rng letters ~depth:(3 + Rng.int rng 5)
+    | _ ->
+        let base = rand_str rng letters (Rng.int rng 301) in
+        let copy = diverge rng letters (Rng.float rng 0.3) base in
+        (* sometimes push δ = |m − n| above w₀ = 4 *)
+        let copy =
+          if Rng.bool rng then copy
+          else
+            let k = Rng.int rng (String.length copy + 1) in
+            String.sub copy 0 k ^ rand_str rng letters (1 + Rng.int rng 30)
+            ^ String.sub copy k (String.length copy - k)
+        in
+        if Rng.bool rng then (base, copy) else (copy, base)
+  in
+  let seq x = Sequence.of_string (Scheme.alphabet scheme) x in
+  (seq a, seq b)
+
+let band_matches_reference =
+  Helpers.qtest ~count:120 "global band score = Dp_linear (every builtin scheme)"
+    QCheck2.Gen.(pair nat (oneofl Scheme.builtins))
+    (fun (seed, scheme) ->
+      let rng = Rng.create ~seed in
+      let nk = Native_kernel.make scheme T.Global in
+      let ws = Anyseq_core.Scratch.create () in
+      let ok = ref true in
+      for _ = 1 to 12 do
+        let q, s = band_pair rng scheme in
+        if global_reference scheme q s <> nk.Native_kernel.score ~ws ~query:q ~subject:s then
+          ok := false
+      done;
+      !ok)
+
+(* The excursion pairs alone, at a fixed seed: optima one to three
+   diagonals past w₀, where a wrong ceiling or jump shows first. *)
+let test_band_excursions () =
+  let rng = Rng.create ~seed:1234 in
+  List.iter
+    (fun scheme ->
+      let nk = Native_kernel.make scheme T.Global in
+      let ws = Anyseq_core.Scratch.create () in
+      let seq v = Sequence.of_string (Scheme.alphabet scheme) v in
+      for k = 1 to 150 do
+        let a, b = excursion rng (band_letters scheme) ~depth:(3 + (k mod 5)) in
+        let q = seq a and s = seq b in
+        Alcotest.(check int)
+          (Printf.sprintf "%s excursion %d" (Scheme.to_string scheme) k)
+          (global_reference scheme q s).T.score
+          (nk.Native_kernel.score ~ws ~query:q ~subject:s).T.score
+      done)
+    Scheme.builtins
+
+(* Pairs built so that the first band's score equals U(w₀) exactly: an
+   in-band excursion of depth [a] and [t] mismatches with
+   (5 − a)(s_max + 2·Ge) = t(s_max − mismatch), for n = m. The band must
+   certify them in one round; every band score must be the optimum. *)
+let test_band_certificate_at_equality () =
+  let hits = ref 0 in
+  List.iter
+    (fun scheme ->
+      let smax = Substitution.max_score scheme.Scheme.subst in
+      let x = Scheme.subst_score scheme 0 1 in
+      let ge = Gaps.extend_cost scheme.Scheme.gap in
+      let plan =
+        List.find_map
+          (fun a ->
+            let lhs = (5 - a) * (smax + (2 * ge)) in
+            if lhs mod (smax - x) = 0 then Some (a, lhs / (smax - x)) else None)
+          [ 1; 2; 3; 4 ]
+      in
+      match plan with
+      | None -> Alcotest.failf "no equality plan for %s" (Scheme.to_string scheme)
+      | Some (a, t) ->
+          let rng = Rng.create ~seed:77 in
+          let nk = Native_kernel.make scheme T.Global in
+          let ws = Anyseq_core.Scratch.create () in
+          for k = 1 to 60 do
+            let p = rand_str rng "ACGT" (40 + Rng.int rng 60)
+            and r = rand_str rng "ACGT" (12 + Rng.int rng 20)
+            and sfx = rand_str rng "ACGT" (40 + Rng.int rng 60) in
+            let x = rand_str rng "ACGT" a and y = rand_str rng "ACGT" a in
+            let b = Bytes.of_string (p ^ r ^ y ^ sfx) in
+            (* t substitutions on distinct flank positions *)
+            let flank = String.length p in
+            for i = 0 to t - 1 do
+              let pos = i * (flank / t) in
+              let c = Bytes.get b pos in
+              Bytes.set b pos (if c = 'A' then 'C' else 'A')
+            done;
+            let seq v = Sequence.of_string (Scheme.alphabet scheme) v in
+            let q = seq (p ^ x ^ r ^ sfx) and s = seq (Bytes.to_string b) in
+            let n = Sequence.length q and m = Sequence.length s in
+            let expected = global_reference scheme q s in
+            Anyseq_core.Scratch.reset_band_tally ws;
+            let got = nk.Native_kernel.score ~ws ~query:q ~subject:s in
+            Alcotest.(check int)
+              (Printf.sprintf "%s pair %d" (Scheme.to_string scheme) k)
+              expected.T.score got.T.score;
+            if expected.T.score = band_ceiling scheme ~n ~m (max 4 (abs (m - n))) then begin
+              incr hits;
+              let tally = Anyseq_core.Scratch.band_tally ws in
+              Alcotest.(check (pair int int))
+                (Printf.sprintf "%s pair %d: L = U certifies in one round"
+                   (Scheme.to_string scheme) k)
+                (1, 1)
+                (tally.Anyseq_core.Scratch.certified, tally.Anyseq_core.Scratch.rounds)
+            end
+          done)
+    [ Scheme.paper_linear; Scheme.paper_affine; Scheme.wildcard_linear; Scheme.wildcard_affine;
+      Scheme.unit_cost ];
+  Alcotest.(check bool) (Printf.sprintf "%d pairs at L = U" !hits) true (!hits >= 20)
+
+(* Pooled rows come back dirty. A dense call that leaves high values in
+   them must not leak into a later band call on the same workspace. *)
+let test_band_dirty_workspace () =
+  let rng = Rng.create ~seed:4242 in
+  List.iter
+    (fun scheme ->
+      let ws = Anyseq_core.Scratch.create () in
+      let global = Native_kernel.make scheme T.Global in
+      let local = Native_kernel.make scheme T.Local in
+      let seq v = Sequence.of_string (Scheme.alphabet scheme) v in
+      let hot = seq (String.make 250 'A') in
+      let hot_short = seq (String.make 60 'A') in
+      for k = 1 to 8 do
+        (* leave a local and a global (wide, hence dense) run's rows behind *)
+        ignore (local.Native_kernel.score ~ws ~query:hot ~subject:hot);
+        ignore (global.Native_kernel.score ~ws ~query:hot_short ~subject:hot);
+        let base = rand_str rng "ACGT" (140 + Rng.int rng 100) in
+        let q = seq base and s = seq (diverge rng "ACGT" 0.02 base) in
+        Anyseq_core.Scratch.reset_band_tally ws;
+        let got = global.Native_kernel.score ~ws ~query:q ~subject:s in
+        Alcotest.(check bool) "the band ran" true
+          ((Anyseq_core.Scratch.band_tally ws).Anyseq_core.Scratch.rounds > 0);
+        Alcotest.(check int)
+          (Printf.sprintf "%s pair %d" (Scheme.to_string scheme) k)
+          (global_reference scheme q s).T.score got.T.score
+      done)
+    [ Scheme.paper_linear; Scheme.paper_affine; Scheme.unit_cost ]
+
+(* The certificate needs s_max ≥ 0 and s_max + 2·Ge > 0: other schemes
+   run every global score dense, and still score right. *)
+let test_band_inadmissible_schemes () =
+  let rng = Rng.create ~seed:31337 in
+  List.iter
+    (fun (label, scheme) ->
+      let nk = Native_kernel.make scheme T.Global in
+      let ws = Anyseq_core.Scratch.create () in
+      for _ = 1 to 10 do
+        let base = Helpers.random_dna rng ~len:150 in
+        let q = base and s = Anyseq_seqio.Genome_gen.mutate rng base in
+        Alcotest.(check int) label (global_reference scheme q s).T.score
+          (nk.Native_kernel.score ~ws ~query:q ~subject:s).T.score
+      done;
+      let t = Anyseq_core.Scratch.band_tally ws in
+      Alcotest.(check (triple int int int))
+        (label ^ ": dense, no band round")
+        (0, 10, 0)
+        (t.Anyseq_core.Scratch.certified, t.Anyseq_core.Scratch.dense,
+         t.Anyseq_core.Scratch.rounds))
+    [
+      ("negative best substitution",
+       Scheme.dna_simple_linear ~match_:(-1) ~mismatch:(-3) ~gap_extend:1);
+      ("free linear gaps", Scheme.dna_simple_linear ~match_:0 ~mismatch:(-1) ~gap_extend:0);
+      ("free affine extension",
+       Scheme.dna_simple_affine ~match_:0 ~mismatch:(-2) ~gap_open:3 ~gap_extend:0);
+    ]
+
+(* Through the service: [runtime/band_certified] + [runtime/band_dense]
+   equals the native tier's global score jobs of a mixed batch. Local,
+   semi-global, traceback and Myers jobs count in neither. *)
+let test_band_counters_mixed_batch () =
+  let rng = Rng.create ~seed:2718 in
+  let svc = Service.create ~domains:1 () in
+  let cfg ?(scheme = Scheme.wildcard_linear) ?(traceback = false) mode =
+    Anyseq.Config.make ~scheme ~mode ~traceback ~backend:Anyseq.Config.Scalar ()
+  in
+  let configs =
+    [|
+      (cfg T.Global, true);
+      (cfg ~scheme:Scheme.paper_affine T.Global, true);
+      (cfg T.Local, false);
+      (cfg ~scheme:Scheme.paper_affine T.Semiglobal, false);
+      (cfg ~traceback:true T.Global, false);
+      (cfg ~scheme:Scheme.unit_cost T.Global, false);
+    |]
+  in
+  let jobs =
+    Array.init 120 (fun i ->
+        let base = Helpers.random_dna rng ~len:(60 + Rng.int rng 120) in
+        let other =
+          if i mod 3 = 0 then Helpers.random_dna rng ~len:(Sequence.length base)
+          else Anyseq_seqio.Genome_gen.mutate rng base
+        in
+        Service.job ~config:(fst configs.(i mod Array.length configs))
+          ~query:(Sequence.to_string base) ~subject:(Sequence.to_string other) ())
+  in
+  let global_score_jobs =
+    Array.fold_left
+      (fun n (j : Service.job) ->
+        if Array.exists (fun (c, counted) -> counted && c == j.Service.config) configs then n + 1
+        else n)
+      0 jobs
+  in
+  Array.iter (fun r -> if Result.is_error r then Alcotest.fail "job failed") (Service.run svc jobs);
+  let m = Service.metrics svc in
+  let get name = Option.value ~default:(-1) (Metrics.find m ("runtime/" ^ name)) in
+  let certified = get "band_certified" and dense = get "band_dense" in
+  Alcotest.(check int) "certified + dense = native global score jobs" global_score_jobs
+    (certified + dense);
+  Alcotest.(check bool) "both outcomes occur" true (certified > 0 && dense > 0);
+  Alcotest.(check bool) "a certified job ran at least one round" true
+    (get "band_rounds" >= certified);
+  let text = Metrics.dump_prometheus m in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " exported") true
+        (Helpers.contains_sub text ("anyseq_runtime_" ^ name ^ " ")))
+    [ "band_certified"; "band_dense"; "band_rounds" ]
+
+(* ------------------------------------------------------------------ *)
 (* Specialization cache                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1192,6 +1478,17 @@ let () =
             test_native_traceback_long_pairs;
           Alcotest.test_case "steady-state allocation budget" `Quick
             test_steady_state_allocation_budget;
+        ] );
+      ( "certified band",
+        [
+          band_matches_reference;
+          Alcotest.test_case "optima past the first band" `Quick test_band_excursions;
+          Alcotest.test_case "L = U certifies" `Quick test_band_certificate_at_equality;
+          Alcotest.test_case "dirty workspace" `Quick test_band_dirty_workspace;
+          Alcotest.test_case "inadmissible schemes run dense" `Quick
+            test_band_inadmissible_schemes;
+          Alcotest.test_case "counters over a mixed batch" `Quick
+            test_band_counters_mixed_batch;
         ] );
       ( "spec cache",
         [

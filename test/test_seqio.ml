@@ -229,6 +229,93 @@ let test_fastq_roundtrip () =
     records parsed
 
 (* ------------------------------------------------------------------ *)
+(* Mutation fuzz                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A valid document to mutate: a few FASTA records with wrapped lines and
+   an optional description, or FASTQ records, LF or CRLF throughout. *)
+let fuzz_document rng ~fastq =
+  let bases n = String.init n (fun _ -> "ACGTN".[Rng.int rng 5]) in
+  let b = Buffer.create 256 in
+  let eol = if Rng.int rng 4 = 0 then "\r\n" else "\n" in
+  for i = 0 to Rng.int rng 4 do
+    let len = Rng.int rng 40 in
+    if fastq then begin
+      Printf.bprintf b "@r%d%s%s%s+%s%s%s" i eol (bases len) eol eol
+        (String.init len (fun _ -> Char.chr (33 + Rng.int rng 41)))
+        eol
+    end
+    else begin
+      Printf.bprintf b ">s%d%s%s" i (if Rng.bool rng then " some description" else "") eol;
+      let seq = bases len in
+      let width = 1 + Rng.int rng 20 in
+      let rec lines at =
+        if at < len then begin
+          Buffer.add_string b (String.sub seq at (min width (len - at)));
+          Buffer.add_string b eol;
+          lines (at + width)
+        end
+      in
+      lines 0
+    end
+  done;
+  Buffer.contents b
+
+(* Bytes a mutation writes: the format's own punctuation, CR, and bytes
+   of 128 or more, as often as arbitrary ones. *)
+let fuzz_byte rng =
+  match Rng.int rng 4 with
+  | 0 ->
+      let punct = "\r\n>@+ \tAN" in
+      punct.[Rng.int rng (String.length punct)]
+  | 1 -> Char.chr (128 + Rng.int rng 128)
+  | _ -> Char.chr (Rng.int rng 256)
+
+(* One to five flips, inserts, deletes or truncations. *)
+let mutate_document rng doc =
+  let s = ref doc in
+  for _ = 0 to Rng.int rng 5 do
+    let d = !s in
+    let n = String.length d in
+    let byte () = String.make 1 (fuzz_byte rng) in
+    s :=
+      match Rng.int rng 4 with
+      | 0 when n > 0 ->
+          let at = Rng.int rng n in
+          String.sub d 0 at ^ byte () ^ String.sub d (at + 1) (n - at - 1)
+      | 1 ->
+          let at = Rng.int rng (n + 1) in
+          String.sub d 0 at ^ byte () ^ String.sub d at (n - at)
+      | 2 when n > 0 ->
+          let at = Rng.int rng n in
+          String.sub d 0 at ^ String.sub d (at + 1) (n - at - 1)
+      | _ -> String.sub d 0 (Rng.int rng (n + 1))
+  done;
+  !s
+
+let no_exception what f =
+  match f () with
+  | Ok _ | Error _ -> true
+  | exception e -> QCheck2.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+
+(* Mutated FASTA and FASTQ documents: [Fasta.parse_string], [Fasta.fold]
+   over the same bytes in a file, and [Fastq.parse_string] answer Ok or
+   Error and never raise. *)
+let seqio_mutation_fuzz =
+  let path = Filename.temp_file "anyseq_fuzz" ".fa" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  Helpers.qtest ~count:2000 "mutated FASTA/FASTQ: Ok or Error, no exception"
+    Helpers.seeded_rng_gen (fun rng ->
+      let fasta = mutate_document rng (fuzz_document rng ~fastq:false) in
+      let fastq = mutate_document rng (fuzz_document rng ~fastq:true) in
+      let alphabet = if Rng.bool rng then Alphabet.dna5 else Alphabet.dna4 in
+      Out_channel.with_open_bin path (fun oc -> output_string oc fasta);
+      no_exception "Fasta.parse_string" (fun () -> Fasta.parse_string alphabet fasta)
+      && no_exception "Fasta.fold" (fun () ->
+             Fasta.fold alphabet path ~init:0 ~f:(fun n _ -> n + 1))
+      && no_exception "Fastq.parse_string" (fun () -> Fastq.parse_string alphabet fastq))
+
+(* ------------------------------------------------------------------ *)
 (* Genome generation                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -492,6 +579,7 @@ let () =
           Alcotest.test_case "phred" `Quick test_fastq_phred;
           Alcotest.test_case "roundtrip" `Quick test_fastq_roundtrip;
         ] );
+      ("mutation fuzz", [ seqio_mutation_fuzz ]);
       ( "genome_gen",
         [
           Alcotest.test_case "length and alphabet" `Quick test_genome_length_and_alphabet;
